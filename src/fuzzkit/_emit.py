@@ -1,13 +1,18 @@
-"""Scalar code emission shared by the engine's compiled rule evaluator and
-the standalone code generator.
+"""Scalar code emission shared by the engine's compiled rule firing and the
+standalone code generator.
 
-Every template here mirrors, operation for operation, the scalar formulas in
-``mf`` and ``norms``; emitted code therefore reproduces the interpreter bit
-for bit.  Changing a formula in either place requires changing it in both.
+``emit_antecedents`` writes the one antecedent prologue both backends run,
+for type-1 and interval type-2 systems alike: membership degrees of the
+used terms, then each rule's truth degree times its weight.  Every template
+here mirrors, operation for operation, the scalar formulas in ``mf`` and
+``norms``; emitted code therefore reproduces the interpreter's tree walk
+(``engine.eval_proposition``) bit for bit.  Changing a formula in either
+place requires changing it in both.
 
 Emitted code references only the names ``exp``, ``log`` and ``abs``; callers
 provide them (``math.exp``/``math.log``/builtin ``abs``, or a
-``from math import exp, log`` line in standalone text).
+``from math import ...`` line in standalone text naming what
+``Writer.uses`` recorded).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import keyword
 from .errors import EvaluationError
 from .mf import (Gaussian, GeneralizedBell, PiecewiseLinear, Sigmoid,
                  Singleton, Trapezoidal, Triangular)
-from .model import And, Not, Or, Relation
+from .model import And, Not, Or, Relation, SystemKind
 from .norms import SNorm, TNorm
 
 
@@ -29,11 +34,16 @@ def lit(value: float) -> str:
 
 
 class Writer:
-    """Indentation-aware line collector."""
+    """Indentation-aware line collector.
+
+    ``uses`` collects the ``math`` names (``exp``, ``log``) that the emitted
+    membership formulas call.
+    """
 
     def __init__(self):
         self.lines: list[str] = []
         self.level = 0
+        self.uses: set[str] = set()
         self._counter = 0
 
     def emit(self, text: str = "") -> None:
@@ -105,6 +115,7 @@ def emit_mf(w: Writer, mf, x: str, out: str) -> None:
         w.level -= 1
         return
     if isinstance(mf, Gaussian):
+        w.uses.add("exp")
         d = w.sym("_d")
         w.emit(f"{d} = {x} - {lit(mf.mu)}")
         w.emit(f"{out} = exp(-({d} * {d}) / "
@@ -114,6 +125,7 @@ def emit_mf(w: Writer, mf, x: str, out: str) -> None:
         w.emit(f"{out} = 1.0 if {x} == {lit(mf.c)} else 0.0")
         return
     if isinstance(mf, GeneralizedBell):
+        w.uses.update(("exp", "log"))
         t = w.sym("_t")
         z = w.sym("_z")
         w.emit(f"{t} = abs(({x} - {lit(mf.c)}) / {lit(mf.a)})")
@@ -138,6 +150,7 @@ def emit_mf(w: Writer, mf, x: str, out: str) -> None:
         w.level -= 2
         return
     if isinstance(mf, Sigmoid):
+        w.uses.add("exp")
         z = w.sym("_z")
         w.emit(f"{z} = {lit(-mf.a)} * ({x} - {lit(mf.c)})")
         w.emit(f"if {z} >= 709.0:")
@@ -224,27 +237,82 @@ def emit_snorm(w: Writer, kind: SNorm, a: str, b: str, out: str) -> None:
         raise EvaluationError(f"unknown s-norm {kind!r}")
 
 
-def emit_prop(w: Writer, prop, settings, membership) -> str:
+def emit_prop(w: Writer, prop, settings, names, upper: bool = False) -> str:
     """Statements computing a proposition's truth degree; returns the name
-    holding the result.  ``membership(variable, term)`` maps a relation to
-    the local already holding its fuzzified degree."""
+    holding the result.  ``names`` maps each ``(variable, term)`` to the
+    ``(lower, upper)`` locals holding its fuzzified degree (a type-1 degree
+    is its own lower and upper bound).  ``upper`` selects the bound
+    computed; ``Not`` flips it, since the lower bound of ``not p`` is
+    ``1 - upper(p)``."""
     if isinstance(prop, Relation):
-        return membership(prop.variable, prop.term)
+        return names[prop.variable, prop.term][upper]
     if isinstance(prop, Not):
-        inner = emit_prop(w, prop.operand, settings, membership)
+        inner = emit_prop(w, prop.operand, settings, names, not upper)
         out = w.sym("_n")
         w.emit(f"{out} = 1.0 - {inner}")
         return out
     if isinstance(prop, And):
-        a = emit_prop(w, prop.left, settings, membership)
-        b = emit_prop(w, prop.right, settings, membership)
+        a = emit_prop(w, prop.left, settings, names, upper)
+        b = emit_prop(w, prop.right, settings, names, upper)
         out = w.sym("_a")
         emit_tnorm(w, settings.conjunction, a, b, out)
         return out
     if isinstance(prop, Or):
-        a = emit_prop(w, prop.left, settings, membership)
-        b = emit_prop(w, prop.right, settings, membership)
+        a = emit_prop(w, prop.left, settings, names, upper)
+        b = emit_prop(w, prop.right, settings, names, upper)
         out = w.sym("_o")
         emit_snorm(w, settings.disjunction, a, b, out)
         return out
     raise EvaluationError(f"cannot emit code for proposition {prop!r}")
+
+
+def emit_antecedents(w: Writer, fis, relations, args: dict,
+                     inline_mfs: bool = True) -> list[str]:
+    """The antecedent prologue: the membership degree of every
+    ``(variable, term)`` in ``relations``, then each rule's truth degree
+    times its weight.  ``args`` maps input names to the locals holding their
+    values.  ``inline_mfs=False`` emits one nested helper per distinct
+    membership function and calls it instead of inlining the formula.
+
+    Returns one expression per rule.  Under interval type-2 each term
+    fuzzifies its lower and upper functions apart and each expression is a
+    ``(lower, upper)`` tuple.
+    """
+    it2 = fis.kind is SystemKind.MAMDANI_IT2
+    mfs = {}
+    for var, term in relations:
+        mf = fis.inputs[var].terms[term]
+        mfs[var, term] = (mf.lower, mf.upper) if it2 else (mf,)
+    helpers: dict = {}
+    if not inline_mfs:
+        for mf in dict.fromkeys(mf for parts in mfs.values() for mf in parts):
+            helpers[mf] = f"_mf{len(helpers)}"
+            w.emit(f"def {helpers[mf]}(_x):")
+            w.level += 1
+            emit_mf(w, mf, "_x", "_y")
+            w.emit("return _y")
+            w.level -= 1
+    names = {}
+    for j, ((var, term), parts) in enumerate(mfs.items()):
+        outs = (f"_m{j}", f"_u{j}")[:len(parts)]
+        w.emit(f"# {var} is {term}")
+        for mf, out in zip(parts, outs):
+            if inline_mfs:
+                emit_mf(w, mf, args[var], out)
+            else:
+                w.emit(f"{out} = {helpers[mf]}({args[var]})")
+        names[var, term] = (outs[0], outs[-1])
+
+    acts = []
+    w.emit("# rule activations")
+    for rule in fis.rules:
+        exprs = []
+        for upper in (False, True) if it2 else (False,):
+            expr = emit_prop(w, rule.antecedent, fis.settings, names, upper)
+            if rule.weight != 1.0:
+                name = w.sym("_r")
+                w.emit(f"{name} = {lit(rule.weight)} * {expr}")
+                expr = name
+            exprs.append(expr)
+        acts.append(exprs[0] if len(exprs) == 1 else f"({', '.join(exprs)})")
+    return acts

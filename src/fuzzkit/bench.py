@@ -12,13 +12,12 @@ from __future__ import annotations
 import os
 import random
 import statistics
-import threading
 import time
 from dataclasses import dataclass
 
 from . import codegen
 from .corpus import CASES, load_system
-from .engine import grouped_max_output, infer
+from .engine import _DENOISE_GROUPS, _grouped_max, denoise_detector, infer
 from .model import FuzzySystem
 
 DEFAULT_SEED = 24601
@@ -90,24 +89,18 @@ def _p99(samples: list[float]) -> float:
 
 def _interp_fn(case: str, fis: FuzzySystem):
     if case == "denoise":
-        return lambda d: grouped_max_output(fis, d, 256, range(0, 13), range(13, 26))
+        return lambda d: denoise_detector(fis, d)
     return lambda d: infer(fis, d)
 
 
 def _codegen_fn(case: str, fis: FuzzySystem):
     order = list(fis.inputs)
     if case == "denoise":
-        # Generated antecedents + the same competitive readout arithmetic.
+        # Generated antecedents + the detector's own readout (256 levels,
+        # its default).
         acts_fn = codegen.load(codegen.generate(fis, antecedents_only=True))
-
-        def run(d, _fn=acts_fn, _order=order):
-            acts = _fn(*[d[k] for k in _order])
-            l1 = max(acts[0:13])
-            l2 = max(acts[13:26])
-            l0 = max(0.0, 1.0 - l1 - l2)
-            return 255 * (l1 - l2) / (l1 + l2 + l0)
-
-        return run
+        return lambda d, _fn=acts_fn, _order=order: _grouped_max(
+            _fn(*[d[k] for k in _order]), 256, *_DENOISE_GROUPS)
     fn = codegen.load(codegen.generate(fis))
     return lambda d, _fn=fn, _order=order: _fn(*[d[k] for k in _order])
 
@@ -141,31 +134,6 @@ def run(which: str = "all", iterations: int = DEFAULT_ITERATIONS,
     for case in cases:
         results.extend(run_case(case, iterations, seed, with_codegen))
     return results
-
-
-def run_threaded(case: str, threads: int, iterations: int = DEFAULT_ITERATIONS,
-                 seed: int | None = None) -> tuple[int, float]:
-    """Total inferences and wall seconds for N workers sharing one system."""
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-    fis = load_system(case)
-    args = make_inputs(fis, _INPUT_POOL, bench_seed(seed))
-    fn = _interp_fn(case, fis)
-    for a in args[:8]:
-        fn(a)
-    per_worker = max(1, iterations // threads)
-
-    def work():
-        for i in range(per_worker):
-            fn(args[i % len(args)])
-
-    workers = [threading.Thread(target=work) for _ in range(threads)]
-    t0 = time.perf_counter()
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
-    return per_worker * threads, time.perf_counter() - t0
 
 
 CSV_HEADER = "case,impl,median_ns,p99_ns,iterations"

@@ -165,13 +165,6 @@ def cmd_codegen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.threads:
-        total, seconds = bench_mod.run_threaded(args.case, args.threads,
-                                                args.iterations, args.seed)
-        rate = total / seconds if seconds > 0 else float("inf")
-        print(f"{args.case}: {total} inferences across {args.threads} threads "
-              f"in {seconds:.3f}s ({rate:,.0f}/s)")
-        return 0
     results = bench_mod.run(args.case, args.iterations, args.seed,
                             with_codegen=not args.no_codegen)
     if args.csv:
@@ -237,8 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="CSV instead of a table")
     p.add_argument("--no-codegen", action="store_true",
                    help="skip the generated-code variants")
-    p.add_argument("--threads", type=int,
-                   help="throughput mode: N workers sharing one system")
     p.set_defaults(fn=cmd_bench)
     return parser
 

@@ -7,10 +7,12 @@ norms, the aggregation loop and the defuzzifier are specialized with the
 system's constants baked in; consequent curves are pre-sampled onto the
 output grids at generation time.
 
-Generated functions reproduce the interpreter bit for bit: antecedents use
-the same scalar formulas (via ``_emit``), consequent rows are the very
-arrays the interpreter caches, and grid reductions accumulate in the same
-left-to-right order as the engine's ``cumsum`` totals.
+Generated functions reproduce the interpreter bit for bit: the antecedent
+prologue is the one ``_emit.emit_antecedents`` writes for the engine's
+compiled firing, consequents follow the engine's lowering of the system
+(``engine._lower``), consequent rows are the very arrays the interpreter
+caches, and grid reductions accumulate in the same left-to-right order as
+the engine's ``cumsum`` totals.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import textwrap
 import types
 
 from . import _emit
-from .engine import _grid, _proposition_relations, _term_curve, _zero_fire_value
+from .engine import _grid, _lower, _term_curve, _zero_fire_value
 from .errors import CodegenError
-from .mf import Gaussian, GeneralizedBell, Sigmoid
 from .model import FuzzySystem, SugenoConstant, SugenoLinear, SystemKind
 from .norms import Defuzzifier, Implication, SNorm
 
@@ -70,23 +71,8 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
     taken.add(fname)
     params = {name: _emit.sanitize(name, taken) for name in fis.inputs}
 
-    used: dict[tuple[str, str], str] = {}
-    for rule in fis.rules:
-        for rel in _proposition_relations(rule.antecedent):
-            used.setdefault((rel.variable, rel.term), "")
-    needs = set()
-    for var_name, term in used:
-        mf = fis.inputs[var_name].terms[term]
-        if isinstance(mf, (Gaussian, Sigmoid)):
-            needs.add("exp")
-        elif isinstance(mf, GeneralizedBell):
-            needs.update(("exp", "log"))
-
+    lowering = _lower(fis)
     w = _emit.Writer()
-    if needs:
-        w.emit(f"from math import {', '.join(sorted(needs))}")
-        w.emit()
-        w.emit()
     w.emit(f"def {fname}({', '.join(params.values())}):")
     w.level += 1
     ins = ", ".join(fis.inputs)
@@ -95,77 +81,45 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
         w.emit(f'"""Rule activation vector of {fis.name!r} for ({ins})."""')
     else:
         w.emit(f'"""Map ({ins}) to ({outs}) by fuzzy inference ({fis.name!r})."""')
-
-    helpers: dict = {}
-    if not inline_mfs:
-        for var_name, term in used:
-            mf = fis.inputs[var_name].terms[term]
-            if mf in helpers:
-                continue
-            helper = f"_mf{len(helpers)}"
-            helpers[mf] = helper
-            w.emit(f"def {helper}(_x):")
-            w.level += 1
-            _emit.emit_mf(w, mf, "_x", "_y")
-            w.emit("return _y")
-            w.level -= 1
-    for j, key in enumerate(used):
-        var_name, term = key
-        used[key] = f"_m{j}"
-        mf = fis.inputs[var_name].terms[term]
-        w.emit(f"# {var_name} is {term}")
-        if inline_mfs:
-            _emit.emit_mf(w, mf, params[var_name], used[key])
-        else:
-            w.emit(f"{used[key]} = {helpers[mf]}({params[var_name]})")
-
-    acts = []
-    w.emit("# rule activations")
-    for rule in fis.rules:
-        expr = _emit.emit_prop(w, rule.antecedent, fis.settings,
-                               lambda v, t: used[(v, t)])
-        if rule.weight != 1.0:
-            name = w.sym("_r")
-            w.emit(f"{name} = {_emit.lit(rule.weight)} * {expr}")
-            expr = name
-        acts.append(expr)
+    acts = _emit.emit_antecedents(w, fis, lowering.relations, params, inline_mfs)
 
     if antecedents_only:
         w.emit(f"return ({', '.join(acts)}{',' if len(acts) == 1 else ''})")
-        w.level -= 1
-        return w.text()
-
-    results = []
-    for o, (out_name, var) in enumerate(fis.outputs.items()):
-        local = f"_out{o}"
-        results.append(local)
-        if fis.kind is SystemKind.SUGENO:
-            _emit_sugeno_output(w, fis, out_name, var, o, local, acts, params)
-        else:
-            _emit_mamdani_output(w, fis, out_name, var, o, local, acts)
-    w.emit(f"return ({', '.join(results)})" if len(results) > 1
-           else f"return {results[0]}")
-    w.level -= 1
+    else:
+        results = []
+        for o, (out_name, var) in enumerate(fis.outputs.items()):
+            local = f"_out{o}"
+            results.append(local)
+            cons = [(acts[i], term) for i, term in lowering.consequents[out_name]]
+            if fis.kind is SystemKind.SUGENO:
+                _emit_sugeno_output(w, fis, out_name, var, o, local, cons, params)
+            else:
+                _emit_mamdani_output(w, fis, out_name, var, o, local, cons)
+        w.emit(f"return ({', '.join(results)})" if len(results) > 1
+               else f"return {results[0]}")
+    if w.uses:
+        w.lines[:0] = [f"from math import {', '.join(sorted(w.uses))}", "", ""]
     return w.text()
 
 
-def _emit_sugeno_output(w, fis, out_name, var, o, local, acts, params) -> None:
+def _emit_sugeno_output(w, fis, out_name, var, o, local, cons, params) -> None:
+    # cons: (activation expression, term) per consequent of out_name, in
+    # rule order.
     w.emit(f"# output {out_name}")
     num, den = f"_num{o}", f"_den{o}"
     w.emit(f"{num} = 0.0")
     w.emit(f"{den} = 0.0")
-    for i, rule in enumerate(fis.rules):
-        for rel in rule.consequents:
-            if rel.variable != out_name:
-                continue
-            expr = _consequent_expr(var.terms[rel.term], params)
-            w.emit(f"{num} = {num} + {acts[i]} * {expr}")
-            w.emit(f"{den} = {den} + {acts[i]}")
+    for act, term in cons:
+        expr = _consequent_expr(var.terms[term], params)
+        w.emit(f"{num} = {num} + {act} * {expr}")
+        w.emit(f"{den} = {den} + {act}")
     zero = _emit.lit(_zero_fire_value(fis, out_name, var))
     w.emit(f"{local} = {num} / {den} if {den} > 0.0 else {zero}")
 
 
-def _emit_mamdani_output(w, fis, out_name, var, o, local, acts) -> None:
+def _emit_mamdani_output(w, fis, out_name, var, o, local, cons) -> None:
+    # cons: (activation expression, term) per consequent of out_name, in
+    # rule order.
     settings = fis.settings
     resolution = settings.resolution
     xs = _grid(fis, var, resolution)
@@ -174,20 +128,10 @@ def _emit_mamdani_output(w, fis, out_name, var, o, local, acts) -> None:
     if grouped:
         # Terms reached by any rule, in declaration order; each contributes
         # its strongest activation (exact under max-aggregation).
-        mentioned = {rel.term for rule in fis.rules for rel in rule.consequents
-                     if rel.variable == out_name}
+        mentioned = {t for _, t in cons}
         terms = [t for t in var.terms if t in mentioned]
-        contributions = None
     else:
-        terms = []
-        contributions = []  # (rule index, term) pairs in rule order
-        for i, rule in enumerate(fis.rules):
-            for rel in rule.consequents:
-                if rel.variable != out_name:
-                    continue
-                if rel.term not in terms:
-                    terms.append(rel.term)
-                contributions.append((i, rel.term))
+        terms = list(dict.fromkeys(t for _, t in cons))
 
     w.emit(f"# output {out_name}: grid of {resolution} points with "
            f"pre-sampled term curves (trimmed to their nonzero support)")
@@ -209,21 +153,16 @@ def _emit_mamdani_output(w, fis, out_name, var, o, local, acts) -> None:
         for k, t in enumerate(terms):
             strengths[t] = f"_s{o}_{k}"
             w.emit(f"{strengths[t]} = 0.0  # strength of {t}")
-        for i, rule in enumerate(fis.rules):
-            for rel in rule.consequents:
-                if rel.variable != out_name:
-                    continue
-                s = strengths[rel.term]
-                w.emit(f"if {acts[i]} > {s}:")
-                w.level += 1
-                w.emit(f"{s} = {acts[i]}")
-                w.level -= 1
+        for act, t in cons:
+            w.emit(f"if {act} > {strengths[t]}:")
+            w.level += 1
+            w.emit(f"{strengths[t]} = {act}")
+            w.level -= 1
 
     # Zero-strength terms leave the curve untouched (implication yields 0,
     # aggregation with 0 is the identity), so they are skipped outright.
     w.emit(f"_mus{o} = [0.0] * {resolution}")
-    passes = ([(strengths[t], t) for t in terms] if grouped
-              else [(acts[i], t) for i, t in contributions])
+    passes = [(strengths[t], t) for t in terms] if grouped else cons
     for act, t in passes:
         if col_names[t] is None:
             continue

@@ -1,5 +1,12 @@
 """Inference engines: Mamdani, Sugeno and interval type-2 Mamdani.
 
+Each system is lowered once (``_lower``, cached per system): the antecedent
+terms it uses, its consequents per output, and a compiled rule-firing
+function that type-1 and interval type-2 systems alike run.  Inference,
+aggregation and ``codegen`` all read that one lowering.  The type-1 tree
+walk (``_fuzzify`` + ``_eval_table``) remains only behind
+``eval_proposition``, the reference compiled firing is tested against.
+
 The Mamdani pipeline discretizes each output domain on a uniform grid,
 shapes every consequent term by its rule activation, folds the shaped curves
 with the aggregation s-norm and defuzzifies.  Reductions over grids use
@@ -20,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _emit
-from .errors import EvaluationError, MissingInputError
+from .errors import EvaluationError, MissingInputError, ModelError
 from .model import (And, FuzzySystem, Not, Or, Proposition, Relation,
-                    SugenoConstant, SugenoLinear, SystemKind, Variable)
+                    SugenoConstant, SystemKind, Variable, _relations)
 from .norms import (Defuzzifier, Implication, SNorm, implicate, snorm,
                     snorm_arrays, tnorm)
 
@@ -99,15 +106,6 @@ def _fuzzify(fis: FuzzySystem, values: dict) -> dict:
     return table
 
 
-def _fuzzify_interval(fis: FuzzySystem, values: dict) -> dict:
-    table = {}
-    for name, var in fis.inputs.items():
-        x = values[name]
-        for term, pair in var.terms.items():
-            table[(name, term)] = (pair.lower(x), pair.upper(x))
-    return table
-
-
 def _eval_table(p: Proposition, settings, table) -> float:
     kind = type(p)
     if kind is Relation:
@@ -125,26 +123,6 @@ def _eval_table(p: Proposition, settings, table) -> float:
     raise EvaluationError(f"unsupported proposition node {p!r}")
 
 
-def _eval_table_interval(p: Proposition, settings, table) -> tuple[float, float]:
-    kind = type(p)
-    if kind is Relation:
-        return table[(p.variable, p.term)]
-    if kind is And:
-        a = _eval_table_interval(p.left, settings, table)
-        b = _eval_table_interval(p.right, settings, table)
-        op = settings.conjunction
-        return (tnorm(op, a[0], b[0]), tnorm(op, a[1], b[1]))
-    if kind is Or:
-        a = _eval_table_interval(p.left, settings, table)
-        b = _eval_table_interval(p.right, settings, table)
-        op = settings.disjunction
-        return (snorm(op, a[0], b[0]), snorm(op, a[1], b[1]))
-    if kind is Not:
-        lo, hi = _eval_table_interval(p.operand, settings, table)
-        return (1.0 - hi, 1.0 - lo)
-    raise EvaluationError(f"unsupported proposition node {p!r}")
-
-
 def eval_proposition(p: Proposition, fis: FuzzySystem, inputs) -> float:
     """Truth degree of an antecedent expression under the given inputs.
 
@@ -155,7 +133,11 @@ def eval_proposition(p: Proposition, fis: FuzzySystem, inputs) -> float:
     if fis.kind is SystemKind.MAMDANI_IT2:
         raise EvaluationError("interval type-2 antecedents evaluate to intervals; "
                               "use infer() on the system instead")
-    for rel in _proposition_relations(p):
+    try:
+        relations = list(_relations(p))
+    except ModelError as exc:
+        raise EvaluationError(str(exc)) from None
+    for rel in relations:
         var = fis.inputs.get(rel.variable)
         if var is None:
             raise EvaluationError(f"proposition references unknown input {rel.variable!r}")
@@ -166,91 +148,81 @@ def eval_proposition(p: Proposition, fis: FuzzySystem, inputs) -> float:
     return _eval_table(p, fis.settings, table)
 
 
-def _proposition_relations(p: Proposition):
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Relation):
-            yield node
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
-            raise EvaluationError(f"unsupported proposition node {node!r}")
+@dataclass(eq=False)
+class _Lowering:
+    """A system lowered once for every backend (see ``_lower``).
+
+    ``relations`` lists the antecedent ``(variable, term)`` pairs in
+    first-use order; ``consequents`` maps each output to its
+    ``(rule index, term)`` pairs in rule order; ``fire`` maps a dict of
+    input values to the tuple of rule activations, ``(lower, upper)`` pairs
+    under interval type-2.  ``fire`` is compiled on first use
+    (``_fire_fn``), so generating code alone never compiles it.
+    """
+
+    relations: tuple
+    consequents: dict
+    fire: object = None
 
 
-def _compile_fire(fis: FuzzySystem):
+def _compile_fire(fis: FuzzySystem, relations):
     """Specialize rule firing for one system into a compiled function.
 
     The emitted statements perform exactly the operations of ``_fuzzify`` +
     ``_eval_table`` (same scalar formulas, same order), so the compiled path
     is bit-identical to the tree walk; it only removes interpretive
-    dispatch from the hot loop.
+    dispatch from the hot loop.  Interval type-2 rules fire each bound the
+    same way, ``not p`` taking one minus the opposite bound of ``p``.
     """
     w = _emit.Writer()
     w.emit("def _fire(_values):")
     w.level += 1
-    input_locals = {}
+    args = {}
     for i, name in enumerate(fis.inputs):
-        local = f"_x{i}"
-        input_locals[name] = local
-        w.emit(f"{local} = _values[{name!r}]")
-    used: dict[tuple[str, str], str] = {}
-    for rule in fis.rules:
-        for rel in _proposition_relations(rule.antecedent):
-            used.setdefault((rel.variable, rel.term), "")
-    for j, key in enumerate(used):
-        var_name, term = key
-        used[key] = f"_m{j}"
-        w.emit(f"# {var_name} == {term}")
-        _emit.emit_mf(w, fis.inputs[var_name].terms[term],
-                      input_locals[var_name], used[key])
-    acts = []
-    for rule in fis.rules:
-        expr = _emit.emit_prop(w, rule.antecedent, fis.settings,
-                               lambda v, t: used[(v, t)])
-        if rule.weight != 1.0:
-            name = w.sym("_r")
-            w.emit(f"{name} = {_emit.lit(rule.weight)} * {expr}")
-            expr = name
-        acts.append(expr)
+        args[name] = f"_x{i}"
+        w.emit(f"_x{i} = _values[{name!r}]")
+    acts = _emit.emit_antecedents(w, fis, relations, args)
     w.emit(f"return ({', '.join(acts)}{',' if len(acts) == 1 else ''})")
     ns = {"exp": math.exp, "log": math.log, "abs": abs, "__builtins__": {}}
     exec(compile(w.text(), "<rule firing>", "exec"), ns)
     return ns["_fire"]
 
 
-def _fire_fn(fis: FuzzySystem):
+def _lower(fis: FuzzySystem) -> _Lowering:
     cache = fis._curve_cache
-    fn = cache.get("fire")
-    if fn is None:
-        fn = _compile_fire(fis)
-        cache["fire"] = fn
-    return fn
+    lowering = cache.get("lowering")
+    if lowering is None:
+        relations = tuple(dict.fromkeys(
+            (rel.variable, rel.term)
+            for rule in fis.rules for rel in _relations(rule.antecedent)))
+        consequents = {name: tuple((i, rel.term)
+                                   for i, rule in enumerate(fis.rules)
+                                   for rel in rule.consequents if rel.variable == name)
+                       for name in fis.outputs}
+        lowering = _Lowering(relations, consequents)
+        cache["lowering"] = lowering
+    return lowering
+
+
+def _fire_fn(fis: FuzzySystem):
+    lowering = _lower(fis)
+    if lowering.fire is None:
+        lowering.fire = _compile_fire(fis, lowering.relations)
+    return lowering.fire
 
 
 def fire_rules(fis: FuzzySystem, inputs) -> FiringVector:
     """Activation of every rule: weight times antecedent truth degree."""
     if fis.kind is SystemKind.MAMDANI_IT2:
         raise EvaluationError("interval type-2 rules fire over intervals; use infer()")
-    values = _input_values(fis, inputs)
-    return FiringVector(_fire_fn(fis)(values))
+    return FiringVector(_fire_fn(fis)(_input_values(fis, inputs)))
 
 
 def fire_rules_interval(fis: FuzzySystem, inputs) -> tuple[tuple[float, float], ...]:
     """Interval activations [lower, upper] of every rule of a type-2 system."""
     if fis.kind is not SystemKind.MAMDANI_IT2:
         raise EvaluationError("fire_rules_interval requires an interval type-2 system")
-    values = _input_values(fis, inputs)
-    table = _fuzzify_interval(fis, values)
-    settings = fis.settings
-    out = []
-    for rule in fis.rules:
-        lo, hi = _eval_table_interval(rule.antecedent, settings, table)
-        out.append((rule.weight * lo, rule.weight * hi))
-    return tuple(out)
+    return _fire_fn(fis)(_input_values(fis, inputs))
 
 
 def _grid(fis: FuzzySystem, var: Variable, resolution: int) -> np.ndarray:
@@ -279,44 +251,38 @@ def _term_curve(fis: FuzzySystem, var: Variable, term: str,
     return curve
 
 
-def _grouped_strengths(fis: FuzzySystem, var_name: str, activations) -> dict:
-    """Max activation per consequent term.
+def _aggregate(fis: FuzzySystem, var: Variable, activations,
+               bound: str | None = None) -> np.ndarray:
+    """Read-only aggregated curve of one output: every consequent term curve
+    shaped by its rule's activation, folded with the aggregation s-norm.
+    ``bound`` ("lower"/"upper") picks the interval type-2 term curves.
 
-    Valid only under max-aggregation, where folding term-wise maxima through
-    min/prod implication is pointwise exact:
-    max(imp(a1, C), imp(a2, C)) == imp(max(a1, a2), C).
+    Under max-aggregation each term is shaped once, by its strongest
+    activation; folding term-wise maxima through min/prod implication is
+    pointwise exact: max(imp(a1, C), imp(a2, C)) == imp(max(a1, a2), C).
     """
-    strengths = {}
-    for rule, act in zip(fis.rules, activations):
-        for rel in rule.consequents:
-            if rel.variable != var_name:
-                continue
-            prev = strengths.get(rel.term, 0.0)
-            strengths[rel.term] = act if act > prev else prev
-    return strengths
-
-
-def _aggregate_t1(fis: FuzzySystem, var: Variable, activations) -> np.ndarray | None:
     settings = fis.settings
     resolution = settings.resolution
-    agg = None
+    consequents = _lower(fis).consequents[var.name]
     if settings.aggregation is SNorm.MAX:
-        strengths = _grouped_strengths(fis, var.name, activations)
-        for term in var.terms:
-            act = strengths.get(term, 0.0)
-            if act == 0.0:
-                continue
-            shaped = implicate(settings.implication, act,
-                               _term_curve(fis, var, term, resolution))
-            agg = shaped if agg is None else np.maximum(agg, shaped)
+        strengths = {}
+        for i, term in consequents:
+            act = activations[i]
+            prev = strengths.get(term, 0.0)
+            strengths[term] = act if act > prev else prev
+        passes = [(strengths.get(term, 0.0), term) for term in var.terms]
     else:
-        for rule, act in zip(fis.rules, activations):
-            for rel in rule.consequents:
-                if rel.variable != var.name or act == 0.0:
-                    continue
-                shaped = implicate(settings.implication, act,
-                                   _term_curve(fis, var, rel.term, resolution))
-                agg = shaped if agg is None else snorm_arrays(settings.aggregation, agg, shaped)
+        passes = [(activations[i], term) for i, term in consequents]
+    agg = None
+    for act, term in passes:
+        if act == 0.0:
+            continue
+        shaped = implicate(settings.implication, act,
+                           _term_curve(fis, var, term, resolution, bound))
+        agg = shaped if agg is None else snorm_arrays(settings.aggregation, agg, shaped)
+    if agg is None:
+        agg = np.zeros(resolution)
+    agg.setflags(write=False)
     return agg
 
 
@@ -373,13 +339,9 @@ def infer_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
     degenerate = []
     for name, var in fis.outputs.items():
         xs = _grid(fis, var, resolution)
-        agg = _aggregate_t1(fis, var, activations)
-        if agg is None:
-            agg = np.zeros(resolution)
-        fired = bool(np.any(agg))
-        agg.setflags(write=False)
+        agg = _aggregate(fis, var, activations)
         aggregated[name] = SampledCurve(xs, agg)
-        if fired:
+        if np.any(agg):
             crisp[name] = defuzzify(fis.settings.defuzzifier, xs, agg)
         else:
             crisp[name] = _zero_fire_value(fis, name, var)
@@ -403,59 +365,24 @@ def infer_sugeno(fis: FuzzySystem, inputs) -> InferenceResult:
     if fis.kind is not SystemKind.SUGENO:
         raise EvaluationError(f"infer_sugeno requires a Sugeno system, got {fis.kind.value}")
     values = _input_values(fis, inputs)
-    firing = fire_rules(fis, inputs)
-    activations = firing.activations
+    activations = _fire_fn(fis)(values)
+    consequents = _lower(fis).consequents
     crisp = {}
     degenerate = []
     for name, var in fis.outputs.items():
         num = 0.0
         den = 0.0
-        for rule, act in zip(fis.rules, activations):
-            for rel in rule.consequents:
-                if rel.variable != name:
-                    continue
-                num = num + act * _sugeno_value(var.terms[rel.term], values)
-                den = den + act
+        for i, term in consequents[name]:
+            act = activations[i]
+            num = num + act * _sugeno_value(var.terms[term], values)
+            den = den + act
         if den <= 0.0:
             crisp[name] = _zero_fire_value(fis, name, var)
             degenerate.append(name)
         else:
             crisp[name] = num / den
-    return InferenceResult(crisp=crisp, firing=firing, aggregated=None,
-                           degenerate=tuple(degenerate))
-
-
-def _aggregate_it2(fis: FuzzySystem, var: Variable, acts: tuple, bound: str,
-                   resolution: int) -> np.ndarray | None:
-    settings = fis.settings
-    idx = 0 if bound == "lower" else 1
-    agg = None
-    if settings.aggregation is SNorm.MAX:
-        strengths = {}
-        for rule, pair in zip(fis.rules, acts):
-            act = pair[idx]
-            for rel in rule.consequents:
-                if rel.variable != var.name:
-                    continue
-                prev = strengths.get(rel.term, 0.0)
-                strengths[rel.term] = act if act > prev else prev
-        for term in var.terms:
-            act = strengths.get(term, 0.0)
-            if act == 0.0:
-                continue
-            shaped = implicate(settings.implication, act,
-                               _term_curve(fis, var, term, resolution, bound))
-            agg = shaped if agg is None else np.maximum(agg, shaped)
-    else:
-        for rule, pair in zip(fis.rules, acts):
-            act = pair[idx]
-            for rel in rule.consequents:
-                if rel.variable != var.name or act == 0.0:
-                    continue
-                shaped = implicate(settings.implication, act,
-                                   _term_curve(fis, var, rel.term, resolution, bound))
-                agg = shaped if agg is None else snorm_arrays(settings.aggregation, agg, shaped)
-    return agg
+    return InferenceResult(crisp=crisp, firing=FiringVector(activations),
+                           aggregated=None, degenerate=tuple(degenerate))
 
 
 def _km_candidate(xs, lower, upper, k: int, left: bool) -> float | None:
@@ -561,6 +488,8 @@ def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
         raise EvaluationError(
             f"infer_it2_mamdani requires an interval type-2 system, got {fis.kind.value}")
     acts = fire_rules_interval(fis, inputs)
+    lower = [p[0] for p in acts]
+    upper = [p[1] for p in acts]
     resolution = fis.settings.resolution
     crisp = {}
     aggregated = {}
@@ -568,14 +497,8 @@ def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
     degenerate = []
     for name, var in fis.outputs.items():
         xs = _grid(fis, var, resolution)
-        agg_lo = _aggregate_it2(fis, var, acts, "lower", resolution)
-        agg_hi = _aggregate_it2(fis, var, acts, "upper", resolution)
-        if agg_lo is None:
-            agg_lo = np.zeros(resolution)
-        if agg_hi is None:
-            agg_hi = np.zeros(resolution)
-        agg_lo.setflags(write=False)
-        agg_hi.setflags(write=False)
+        agg_lo = _aggregate(fis, var, lower, "lower")
+        agg_hi = _aggregate(fis, var, upper, "upper")
         aggregated[name] = CurveBand(SampledCurve(xs, agg_lo), SampledCurve(xs, agg_hi))
         if not np.any(agg_hi):
             value = _zero_fire_value(fis, name, var)
@@ -624,11 +547,19 @@ def grouped_max_output(fis: FuzzySystem, inputs, gray_levels: int,
             raise EvaluationError(f"rule index {idx} out of range for {n} rules")
     if set(first) & set(second):
         raise EvaluationError("rule groups must be disjoint")
-    acts = fire_rules(fis, inputs).activations
+    return _grouped_max(fire_rules(fis, inputs).activations, gray_levels,
+                        first, second)
+
+
+def _grouped_max(acts, gray_levels: int, first, second) -> float:
+    """The readout arithmetic of ``grouped_max_output`` over activations."""
     l1 = max(acts[i] for i in first)
     l2 = max(acts[i] for i in second)
     l0 = max(0.0, 1.0 - l1 - l2)
     return (gray_levels - 1) * (l1 - l2) / (l1 + l2 + l0)
+
+
+_DENOISE_GROUPS = (range(0, 13), range(13, 26))
 
 
 def denoise_detector(fis: FuzzySystem, inputs, gray_levels: int = 256) -> float:
@@ -637,4 +568,4 @@ def denoise_detector(fis: FuzzySystem, inputs, gray_levels: int = 256) -> float:
     if len(fis.rules) != 26:
         raise EvaluationError(
             f"denoise detector expects exactly 26 rules, got {len(fis.rules)}")
-    return grouped_max_output(fis, inputs, gray_levels, range(0, 13), range(13, 26))
+    return grouped_max_output(fis, inputs, gray_levels, *_DENOISE_GROUPS)

@@ -259,7 +259,8 @@ class FuzzySystem:
         self._check_variables()
         self._check_rules()
         self._check_defaults()
-        # Memoized grids/curves; keyed by (output, term, resolution, bound).
+        # Memoized lowering (engine._lower), grids and curves; curves are
+        # keyed by (output, term, resolution, bound).
         object.__setattr__(self, "_curve_cache", {})
 
     def _check_variables(self) -> None:

@@ -156,6 +156,45 @@ def km_oracle(xs, lower, upper):
 
 
 # ---------------------------------------------------------------------------
+# Interval firing oracle: fuzzify each term to (lower(x), upper(x)) with the
+# hand-written formulas above, then evaluate bound pairs; Not swaps them.
+
+def it2_firing_oracle(fis: FuzzySystem, inputs) -> tuple:
+    """Interval rule activations of a type-2 system whose terms are
+    triangles, trapezoids or Gaussians, under min or prod conjunction and
+    max disjunction (what ``random_it2_system`` builds)."""
+    assert fis.settings.disjunction is SNorm.MAX
+
+    def degree(mf, x):
+        if isinstance(mf, Triangular):
+            return tri(x, mf.a, mf.b, mf.c)
+        if isinstance(mf, Trapezoidal):
+            return trap(x, mf.a, mf.b, mf.c, mf.d)
+        return gauss(x, mf.mu, mf.sigma)
+
+    table = {(name, term): (degree(pair.lower, inputs[name]),
+                            degree(pair.upper, inputs[name]))
+             for name, var in fis.inputs.items() for term, pair in var.terms.items()}
+    conj = min if fis.settings.conjunction is TNorm.MIN else (lambda a, b: a * b)
+
+    def bounds(p):
+        if isinstance(p, Relation):
+            return table[(p.variable, p.term)]
+        if isinstance(p, Not):
+            lo, hi = bounds(p.operand)
+            return (1.0 - hi, 1.0 - lo)
+        op = conj if isinstance(p, And) else max
+        a, b = bounds(p.left), bounds(p.right)
+        return (op(a[0], b[0]), op(a[1], b[1]))
+
+    out = []
+    for rule in fis.rules:
+        lo, hi = bounds(rule.antecedent)
+        out.append((rule.weight * lo, rule.weight * hi))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Random model builders.
 
 _NAMES = "abcdefghjk"

@@ -4,7 +4,7 @@ import pytest
 
 from fuzzkit import corpus
 from fuzzkit.bench import (CSV_HEADER, BenchResult, bench_seed, format_table,
-                           make_inputs, run_case, run_threaded, to_csv)
+                           make_inputs, run_case, to_csv)
 
 
 def test_make_inputs_is_seed_deterministic():
@@ -68,8 +68,3 @@ def test_run_case_rejects_unknown():
     with pytest.raises(KeyError):
         run_case("nope", iterations=1)
 
-
-def test_run_threaded_smoke():
-    count, elapsed = run_threaded("tipper", threads=2, iterations=40)
-    assert count >= 40
-    assert elapsed > 0.0

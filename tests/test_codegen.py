@@ -110,6 +110,25 @@ def test_single_rule_source_is_short_and_standalone():
     assert all(re.match(r"from math import |import math", l) for l in imports)
 
 
+def test_math_import_names_exactly_what_the_body_calls():
+    rng = random.Random(118)
+    seen = set()
+    for i in range(40):
+        fis = helpers.random_t1_system(rng, i)
+        for inline in (True, False):
+            lines = generate(fis, inline_mfs=inline).splitlines()
+            imports = [l for l in lines if l.startswith("from math import ")]
+            body = "\n".join(l for l in lines if l not in imports)
+            called = sorted(n for n in ("exp", "log")
+                            if re.search(rf"(?<![\w.]){n}\(", body))
+            want = [f"from math import {', '.join(called)}"] if called else []
+            assert imports == want, (fis.name, inline)
+            if called:
+                assert lines[0] == want[0]
+            seen.add(tuple(called))
+    assert seen == {(), ("exp",), ("exp", "log")}
+
+
 def test_generated_source_compiles_cleanly(tipper):
     src = generate(tipper)
     compile(src, "<check>", "exec")  # no syntax error

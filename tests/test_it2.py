@@ -8,8 +8,8 @@ import pytest
 import helpers
 from fuzzkit import (Domain, EvaluationError, FuzzySystem, IntervalMF, Relation,
                      Rule, SystemKind, Triangular, Variable)
-from fuzzkit.engine import (fire_rules, infer, infer_it2_mamdani,
-                            infer_mamdani, km_reduce)
+from fuzzkit.engine import (fire_rules, fire_rules_interval, infer,
+                            infer_it2_mamdani, infer_mamdani, km_reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +100,23 @@ def _band_system():
     return FuzzySystem("band", SystemKind.MAMDANI_IT2, {"a": a}, {"y": y},
                        (Rule(Relation("a", "low"), (Relation("y", "small"),)),
                         Rule(Relation("a", "high"), (Relation("y", "large"),))))
+
+
+def test_fire_rules_interval_matches_oracle():
+    # Bitwise against an independent interval evaluator; every other system
+    # gets rule weights below 1 (the generator always uses 1.0).
+    rng = random.Random(84)
+    for k in range(200):
+        fis = helpers.random_it2_system(rng)
+        if k % 2:
+            rules = tuple(Rule(r.antecedent, r.consequents, rng.uniform(0.1, 0.99))
+                          for r in fis.rules)
+            fis = FuzzySystem(fis.name, fis.kind, fis.inputs, fis.outputs, rules,
+                              fis.settings)
+        for _ in range(10):
+            inputs = helpers.random_inputs(rng, fis)
+            want = helpers.it2_firing_oracle(fis, inputs)
+            assert fire_rules_interval(fis, inputs) == want, (fis, inputs)
 
 
 def test_it2_result_structure():
