@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import codegen
 from .corpus import CASES, load_system
 from .engine import _DENOISE_GROUPS, _grouped_max, denoise_detector, infer
-from .model import FuzzySystem
+from .model import FuzzySystem, SystemKind
 
 DEFAULT_SEED = 24601
 DEFAULT_ITERATIONS = 10_000
@@ -107,12 +107,13 @@ def _codegen_fn(case: str, fis: FuzzySystem):
 
 def run_case(case: str, iterations: int = DEFAULT_ITERATIONS,
              seed: int | None = None, with_codegen: bool = True) -> list[BenchResult]:
-    """Benchmark one corpus case; returns interp and codegen rows."""
+    """Benchmark one corpus case; returns interp and codegen rows (interp
+    only for interval type-2, which ``codegen.generate`` does not support)."""
     fis = load_system(case)
     args = make_inputs(fis, _INPUT_POOL, bench_seed(seed))
     results = []
     variants = [("interp", _interp_fn(case, fis))]
-    if with_codegen:
+    if with_codegen and fis.kind is not SystemKind.MAMDANI_IT2:
         variants.append(("codegen", _codegen_fn(case, fis)))
     for impl, fn in variants:
         if iterations <= 0:

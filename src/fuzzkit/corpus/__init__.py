@@ -1,4 +1,5 @@
-"""Embedded example systems: tipper, denoise, and robot."""
+"""Embedded example systems: tipper, denoise, robot, and an interval
+type-2 tipper."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ CASES = {
     "tipper": "tipper.fzl",
     "denoise": "denoise.fzl",
     "robot": "robot.fcl",
+    "tipper_it2": "tipper_it2.fzl",
 }
 
 _cache: dict[str, FuzzySystem] = {}

@@ -33,9 +33,6 @@ from .model import (And, FuzzySystem, Not, Or, Proposition, Relation,
 from .norms import (Defuzzifier, Implication, SNorm, implicate, snorm,
                     snorm_arrays, tnorm)
 
-_KM_MAX_ITER = 100
-
-
 @dataclass(frozen=True)
 class FiringVector:
     """Per-rule activation strengths, in rule declaration order."""
@@ -385,98 +382,98 @@ def infer_sugeno(fis: FuzzySystem, inputs) -> InferenceResult:
                            aggregated=None, degenerate=tuple(degenerate))
 
 
-def _km_candidate(xs, lower, upper, k: int, left: bool) -> float | None:
-    # Switch index k: for the left bound, points 0..k take the upper
-    # membership and the rest take the lower; mirrored for the right bound.
-    if left:
-        theta = np.concatenate([upper[:k + 1], lower[k + 1:]])
-    else:
-        theta = np.concatenate([lower[:k + 1], upper[k + 1:]])
-    den = float(np.sum(theta))
-    if den <= 0.0:
-        return None
-    return float(np.sum(xs * theta)) / den
-
-
-def _km_candidate_range(n: int, left: bool) -> range:
-    # k = n-1 for the left bound (and k = -1 for the right) selects the
-    # all-upper assignment, needed when the lower curve carries no mass.
-    return range(0, n) if left else range(-1, n - 1)
-
-
-def _km_scan(xs, lower, upper, left: bool) -> float:
-    best = None
-    for k in _km_candidate_range(len(xs), left):
-        c = _km_candidate(xs, lower, upper, k, left)
-        if c is None:
-            continue
-        if best is None or (c < best if left else c > best):
-            best = c
-    if best is None:
-        return 0.5 * (float(xs[0]) + float(xs[-1]))
-    return best
-
-
-def _km_bound(xs, lower, upper, y0: float, left: bool) -> float:
+def _km_bounds(xs, lower, upper) -> tuple[float, float]:
+    """``km_reduce`` on a band that already meets its input contract."""
     n = len(xs)
-    lo_k, hi_k = (0, n - 1) if left else (-1, n - 2)
-    y = y0
-    k_prev = None
-    for _ in range(_KM_MAX_ITER):
-        k = int(np.searchsorted(xs, y, side="right")) - 1
-        k = min(max(k, lo_k), hi_k)
-        if k == k_prev:
-            break
-        k_prev = k
-        c = _km_candidate(xs, lower, upper, k, left)
-        if c is None:
-            return _km_scan(xs, lower, upper, left)
-        y = c
-    else:
-        return _km_scan(xs, lower, upper, left)
-    # Fixed point found; sweep immediate neighbours to absorb boundary
-    # rounding in the switch-location step.
-    best = None
-    for k in (k_prev - 1, k_prev, k_prev + 1):
-        if k < lo_k or k > hi_k:
-            continue
-        c = _km_candidate(xs, lower, upper, k, left)
-        if c is None:
-            continue
-        if best is None or (c < best if left else c > best):
-            best = c
-    if best is None:
-        return _km_scan(xs, lower, upper, left)
-    return best
+    if n == 1:
+        x = float(xs[0])
+        return (x, x)
+    if np.add.reduce(0.5 * (lower + upper)) <= 0.0:
+        mid = 0.5 * (float(xs[0]) + float(xs[-1]))
+        return (mid, mid)
+    # Switch point k = -1..n-1 is column i = k + 1: the left bound's curve
+    # takes the upper membership at points [0, i) and the lower one at
+    # [i, n); the right bound's the reverse.  Rows 0-3 of ``m`` are
+    # xs*upper, upper, lower, xs*lower with a leading zero column; rows 4-7
+    # repeat them in reverse row and column order, so accumulating ``m``
+    # gives prefix sums and, read backwards, suffix sums of each row's
+    # partner.  Suffixes are never ``total - prefix``: that would cancel and
+    # turn a zero denominator into a rounding residue.
+    m = np.zeros((8, n + 1))
+    m[1, 1:] = upper
+    m[2, 1:] = lower
+    np.multiply(xs, upper, out=m[0, 1:])
+    np.multiply(xs, lower, out=m[3, 1:])
+    m[4:, 1:] = m[3::-1, :0:-1]
+    c = np.add.accumulate(m, axis=1)
+    # Rows: left numerator and denominator, right denominator and numerator.
+    sums = c[:4] + c[4:, ::-1]
+    np.negative(sums[3], out=sums[3])  # so both ends minimize
+    with np.errstate(invalid="ignore"):  # 0/0 where the curve has no mass
+        approx = sums[::3] / sums[1:3]
+    # Any summation order of n terms errs by at most gamma_(n-1) times the
+    # sum of their magnitudes (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., sec. 4.2), and |fl(x*theta)| <= 2*|x|*theta even
+    # when the product underflows, so an approximate and an exact candidate
+    # differ by less than e.  The exact optimum's approximation thus lies
+    # within 2e of the best approximation.
+    e = 12.0 * n * 2.0 ** -53 * max(-float(xs[0]), float(xs[-1]))  # max|xs|, xs sorted
+    near = np.flatnonzero(approx <= (np.fmin.reduce(approx, axis=1) + 2.0 * e)[:, None])
+    end, idx = np.divmod(near, n + 1)
+    if len(near) > 2:
+        # Where lower[j] == upper[j], columns j and j + 1 give the same curve:
+        # keep the first column of each such run.
+        first = np.ones(n + 1, dtype=bool)
+        np.not_equal(lower, upper, out=first[1:])
+        rep = np.maximum.accumulate(np.where(first, np.arange(n + 1), 0))
+        end, idx = np.divmod(np.unique(end * (n + 1) + rep[idx]), n + 1)
+    # Confirm with the defining formula, ``np.sum`` over each candidate
+    # curve: row sums of a C-contiguous matrix round exactly like ``np.sum``
+    # of each row.  Blocks bound memory when many candidates tie.
+    exact = []
+    block = max(1, (1 << 16) // n)
+    for s in range(0, len(idx), block):
+        rows = slice(s, s + block)
+        theta = np.where((np.arange(n) < idx[rows, None]) != end[rows, None], upper, lower)
+        num = np.add.reduce(xs * theta, axis=1)
+        exact += (num / np.add.reduce(theta, axis=1)).tolist()
+    k = end.tolist().count(0)  # left-end rows come first
+    return (min(exact[:k]), max(exact[k:]))
 
 
 def km_reduce(xs, lower, upper) -> tuple[float, float]:
     """Karnik-Mendel type reduction of an interval membership band.
 
-    Returns the centroid interval [y_left, y_right] over all embedded
-    curves.  Starts from the type-1 centroid of the average curve and
-    iterates switch points to a fixed point (hard cap 100 rounds, falling
-    back to an exhaustive switch-point scan).  Identical inputs give
-    bitwise-identical bounds.
+    Returns the centroid interval [y_left, y_right] over the band's embedded
+    curves: the exact minimum and maximum, over every switch point
+    k = -1..n-1, of sum(xs * theta) / sum(theta), where theta takes one bound
+    at points 0..k and the other after.  All candidates are approximated at
+    once from prefix and suffix sums, in O(n); those within a rounding-error
+    bound of the best are re-evaluated with ``np.sum`` and the best exact
+    value is returned.  A band with no mass yields the grid midpoint.
+    Identical inputs give bitwise-identical bounds.
+
+    Input contract: three 1-D arrays of equal, nonzero length; ``xs`` finite
+    and non-decreasing; memberships finite with 0 <= lower <= upper.
+    Anything else raises ``EvaluationError``.
     """
     xs = np.asarray(xs, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if not (len(xs) == len(lower) == len(upper)):
-        raise EvaluationError("km_reduce needs three arrays of equal length")
+    if not (xs.ndim == lower.ndim == upper.ndim == 1
+            and len(xs) == len(lower) == len(upper)):
+        raise EvaluationError("km_reduce needs three 1-D arrays of equal length")
     if len(xs) == 0:
         raise EvaluationError("km_reduce needs a nonempty grid")
-    if len(xs) == 1:
-        x = float(xs[0])
-        return (x, x)
-    avg = 0.5 * (lower + upper)
-    total = float(np.sum(avg))
-    if total <= 0.0:
-        mid = 0.5 * (float(xs[0]) + float(xs[-1]))
-        return (mid, mid)
-    y0 = float(np.sum(xs * avg)) / total
-    return (_km_bound(xs, lower, upper, y0, True),
-            _km_bound(xs, lower, upper, y0, False))
+    # Comparisons with NaN are false, so these tests reject NaN as well.
+    if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])
+            and (xs[1:] >= xs[:-1]).all()):
+        raise EvaluationError("km_reduce needs finite, non-decreasing xs")
+    if not (np.minimum.reduce(lower) >= 0.0 and np.maximum.reduce(upper) < math.inf
+            and (lower <= upper).all()):
+        raise EvaluationError(
+            "km_reduce needs finite memberships with 0 <= lower <= upper")
+    return _km_bounds(xs, lower, upper)
 
 
 def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
@@ -506,7 +503,7 @@ def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
             intervals[name] = (value, value)
             degenerate.append(name)
             continue
-        y_left, y_right = km_reduce(xs, agg_lo, agg_hi)
+        y_left, y_right = _km_bounds(xs, agg_lo, agg_hi)
         intervals[name] = (y_left, y_right)
         crisp[name] = 0.5 * (y_left + y_right)
     return InferenceResult(crisp=crisp, firing=None, aggregated=aggregated,

@@ -1,10 +1,15 @@
 """Benchmark harness plumbing (timing numbers themselves are not asserted)."""
 
+import pathlib
+
 import pytest
 
-from fuzzkit import corpus
+from fuzzkit import SystemKind, corpus
 from fuzzkit.bench import (CSV_HEADER, BenchResult, bench_seed, format_table,
                            make_inputs, run_case, to_csv)
+
+PERFBENCH_MODEL = (pathlib.Path(__file__).resolve().parents[1]
+                   / "perfbench" / "models" / "tipper_it2.fzl")
 
 
 def test_make_inputs_is_seed_deterministic():
@@ -62,6 +67,21 @@ def test_run_case_smoke():
 def test_run_case_without_codegen():
     results = run_case("denoise", iterations=10, with_codegen=False)
     assert [r.impl for r in results] == ["interp"]
+
+
+def test_run_case_it2_has_interpreter_row_only():
+    results = run_case("tipper_it2", iterations=10)
+    assert [(r.case, r.impl) for r in results] == [("tipper_it2", "interp")]
+    assert results[0].median_ns > 0
+
+
+def test_corpus_it2_tipper_matches_benchmark_model():
+    text = corpus.load_text("tipper_it2.fzl")
+    with open(PERFBENCH_MODEL, encoding="utf-8") as fh:
+        assert fh.read() == text
+    fis = corpus.load_system("tipper_it2")
+    assert fis.kind is SystemKind.MAMDANI_IT2
+    assert (len(fis.inputs), len(fis.outputs), len(fis.rules)) == (2, 1, 3)
 
 
 def test_run_case_rejects_unknown():
