@@ -10,9 +10,9 @@ output grids at generation time.
 Generated functions reproduce the interpreter bit for bit: the antecedent
 prologue is the one ``_emit.emit_antecedents`` writes for the engine's
 compiled firing, consequents follow the engine's lowering of the system
-(``engine._lower``), consequent rows are the very arrays the interpreter
-caches, and grid reductions accumulate in the same left-to-right order as
-the engine's ``cumsum`` totals.
+(``engine._lower``), consequent columns are rows of the term matrix the
+interpreter aggregates, and grid reductions accumulate in the same
+left-to-right order as the engine's ``np.add.accumulate`` totals.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import textwrap
 import types
 
 from . import _emit
-from .engine import _grid, _lower, _term_curve, _zero_fire_value
+from .engine import _lower, _zero_fire_value
 from .errors import CodegenError
 from .model import FuzzySystem, SugenoConstant, SugenoLinear, SystemKind
 from .norms import Defuzzifier, Implication, SNorm
@@ -90,11 +90,11 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
         for o, (out_name, var) in enumerate(fis.outputs.items()):
             local = f"_out{o}"
             results.append(local)
-            cons = [(acts[i], term) for i, term in lowering.consequents[out_name]]
+            cons = [(acts[i], row) for i, row in lowering.consequents[out_name]]
             if fis.kind is SystemKind.SUGENO:
                 _emit_sugeno_output(w, fis, out_name, var, o, local, cons, params)
             else:
-                _emit_mamdani_output(w, fis, out_name, var, o, local, cons)
+                _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons)
         w.emit(f"return ({', '.join(results)})" if len(results) > 1
                else f"return {results[0]}")
     if w.uses:
@@ -103,43 +103,42 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
 
 
 def _emit_sugeno_output(w, fis, out_name, var, o, local, cons, params) -> None:
-    # cons: (activation expression, term) per consequent of out_name, in
-    # rule order.
+    # cons: (activation expression, term row) per consequent of out_name,
+    # in rule order.
     w.emit(f"# output {out_name}")
     num, den = f"_num{o}", f"_den{o}"
     w.emit(f"{num} = 0.0")
     w.emit(f"{den} = 0.0")
-    for act, term in cons:
-        expr = _consequent_expr(var.terms[term], params)
+    terms = tuple(var.terms.values())
+    for act, row in cons:
+        expr = _consequent_expr(terms[row], params)
         w.emit(f"{num} = {num} + {act} * {expr}")
         w.emit(f"{den} = {den} + {act}")
     zero = _emit.lit(_zero_fire_value(fis, out_name, var))
     w.emit(f"{local} = {num} / {den} if {den} > 0.0 else {zero}")
 
 
-def _emit_mamdani_output(w, fis, out_name, var, o, local, cons) -> None:
-    # cons: (activation expression, term) per consequent of out_name, in
-    # rule order.
+def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> None:
+    # cons: (activation expression, term row) per consequent of out_name,
+    # in rule order.
     settings = fis.settings
     resolution = settings.resolution
-    xs = _grid(fis, var, resolution)
     grouped = settings.aggregation is SNorm.MAX
 
     if grouped:
         # Terms reached by any rule, in declaration order; each contributes
         # its strongest activation (exact under max-aggregation).
-        mentioned = {t for _, t in cons}
-        terms = [t for t in var.terms if t in mentioned]
+        terms = sorted({t for _, t in cons})
     else:
         terms = list(dict.fromkeys(t for _, t in cons))
 
     w.emit(f"# output {out_name}: grid of {resolution} points with "
            f"pre-sampled term curves (trimmed to their nonzero support)")
-    _wrap_assignment(w, f"_xs{o}", tuple(float(x) for x in xs))
+    _wrap_assignment(w, f"_xs{o}", tuple(lowering.grids[out_name].tolist()))
     col_names = {}
     col_starts = {}
     for k, t in enumerate(terms):
-        col = [float(v) for v in _term_curve(fis, var, t, resolution)]
+        col = lowering.curves[out_name][0, t].tolist()
         live = [j for j, c in enumerate(col) if c != 0.0]
         if not live:
             col_names[t] = None  # curve is identically zero on the grid
@@ -152,7 +151,7 @@ def _emit_mamdani_output(w, fis, out_name, var, o, local, cons) -> None:
         strengths = {}
         for k, t in enumerate(terms):
             strengths[t] = f"_s{o}_{k}"
-            w.emit(f"{strengths[t]} = 0.0  # strength of {t}")
+            w.emit(f"{strengths[t]} = 0.0  # strength of {list(var.terms)[t]}")
         for act, t in cons:
             w.emit(f"if {act} > {strengths[t]}:")
             w.level += 1

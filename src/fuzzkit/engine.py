@@ -1,26 +1,27 @@
 """Inference engines: Mamdani, Sugeno and interval type-2 Mamdani.
 
 Each system is lowered once (``_lower``, cached per system): the antecedent
-terms it uses, its consequents per output, and a compiled rule-firing
-function that type-1 and interval type-2 systems alike run.  Inference,
-aggregation and ``codegen`` all read that one lowering.  The type-1 tree
-walk (``_fuzzify`` + ``_eval_table``) remains only behind
-``eval_proposition``, the reference compiled firing is tested against.
+terms it uses, its consequents per output, its output term curves sampled
+once, and a compiled rule-firing function that type-1 and interval type-2
+systems alike run.  Inference, aggregation and ``codegen`` all read that one
+lowering.  The type-1 tree walk (``_fuzzify`` + ``_eval_table``) remains
+only behind ``eval_proposition``, the reference compiled firing is tested
+against.
 
-The Mamdani pipeline discretizes each output domain on a uniform grid,
-shapes every consequent term by its rule activation, folds the shaped curves
-with the aggregation s-norm and defuzzifies.  Reductions over grids use
-sequential (left-to-right) summation via ``np.cumsum`` so that code emitted
-by ``codegen``, which accumulates in plain Python loops, reproduces the
-interpreter bit for bit.
+The Mamdani pipeline shapes each output's pre-sampled term matrix by the
+rule activations, reduces it with the aggregation s-norm and defuzzifies.
+Grid sums are sequential (left to right, ``np.add.accumulate``, which is
+``np.cumsum``) so that code emitted by ``codegen``, which accumulates in
+plain Python loops, reproduces the interpreter bit for bit.
 
 All entry points are pure: they never mutate the system or the inputs, so a
-validated system can serve concurrent callers.  The per-system curve cache
-is a benign-race memo table (redundant fills compute identical arrays).
+validated system can serve concurrent callers.  The per-system lowering
+cache is a benign-race memo (a redundant fill computes identical arrays).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,14 +152,20 @@ class _Lowering:
 
     ``relations`` lists the antecedent ``(variable, term)`` pairs in
     first-use order; ``consequents`` maps each output to its
-    ``(rule index, term)`` pairs in rule order; ``fire`` maps a dict of
-    input values to the tuple of rule activations, ``(lower, upper)`` pairs
-    under interval type-2.  ``fire`` is compiled on first use
-    (``_fire_fn``), so generating code alone never compiles it.
+    ``(rule index, row)`` pairs in rule order, ``row`` indexing its terms in
+    declaration order.  For a Mamdani output, ``grids`` holds its grid and
+    ``curves`` a ``(bands, terms, resolution)`` matrix of every term curve
+    sampled on it, one band for type-1, lower and upper for interval type-2
+    (both read-only).  ``fire`` maps a dict of input values to the tuple of
+    rule activations, ``(lower, upper)`` pairs under interval type-2; it is
+    compiled on first use (``_fire_fn``), so generating code alone never
+    compiles it.
     """
 
     relations: tuple
     consequents: dict
+    grids: dict
+    curves: dict
     fire: object = None
 
 
@@ -192,11 +199,22 @@ def _lower(fis: FuzzySystem) -> _Lowering:
         relations = tuple(dict.fromkeys(
             (rel.variable, rel.term)
             for rule in fis.rules for rel in _relations(rule.antecedent)))
-        consequents = {name: tuple((i, rel.term)
-                                   for i, rule in enumerate(fis.rules)
-                                   for rel in rule.consequents if rel.variable == name)
-                       for name in fis.outputs}
-        lowering = _Lowering(relations, consequents)
+        consequents, grids, curves = {}, {}, {}
+        for name, var in fis.outputs.items():
+            row = {term: r for r, term in enumerate(var.terms)}
+            consequents[name] = tuple(
+                (i, row[rel.term]) for i, rule in enumerate(fis.rules)
+                for rel in rule.consequents if rel.variable == name)
+            if fis.kind is SystemKind.SUGENO:
+                continue
+            grid = grids[name] = var.domain.grid(fis.settings.resolution)
+            mfs = tuple(var.terms.values())
+            bands = (mfs,) if fis.kind is SystemKind.MAMDANI else (
+                [p.lower for p in mfs], [p.upper for p in mfs])
+            curves[name] = np.array([[mf.sample(grid) for mf in b] for b in bands])
+            grid.setflags(write=False)
+            curves[name].setflags(write=False)
+        lowering = _Lowering(relations, consequents, grids, curves)
         cache["lowering"] = lowering
     return lowering
 
@@ -222,63 +240,40 @@ def fire_rules_interval(fis: FuzzySystem, inputs) -> tuple[tuple[float, float], 
     return _fire_fn(fis)(_input_values(fis, inputs))
 
 
-def _grid(fis: FuzzySystem, var: Variable, resolution: int) -> np.ndarray:
-    cache = fis._curve_cache
-    key = ("grid", var.name, resolution)
-    grid = cache.get(key)
-    if grid is None:
-        grid = var.domain.grid(resolution)
-        grid.setflags(write=False)
-        cache[key] = grid
-    return grid
-
-
-def _term_curve(fis: FuzzySystem, var: Variable, term: str,
-                resolution: int, bound: str | None = None) -> np.ndarray:
-    cache = fis._curve_cache
-    key = (var.name, term, resolution, bound)
-    curve = cache.get(key)
-    if curve is None:
-        mf = var.terms[term]
-        if bound is not None:
-            mf = mf.lower if bound == "lower" else mf.upper
-        curve = mf.sample(_grid(fis, var, resolution))
-        curve.setflags(write=False)
-        cache[key] = curve
-    return curve
-
-
-def _aggregate(fis: FuzzySystem, var: Variable, activations,
-               bound: str | None = None) -> np.ndarray:
-    """Read-only aggregated curve of one output: every consequent term curve
-    shaped by its rule's activation, folded with the aggregation s-norm.
-    ``bound`` ("lower"/"upper") picks the interval type-2 term curves.
+def _aggregate(fis: FuzzySystem, name: str, bands) -> np.ndarray:
+    """Read-only aggregated curves of output ``name``, one row per band of
+    its term matrix: every consequent term curve shaped by its rule's
+    activation, folded with the aggregation s-norm.  ``bands`` holds the
+    activations of each band (type-1: one; interval type-2: lower, upper).
 
     Under max-aggregation each term is shaped once, by its strongest
-    activation; folding term-wise maxima through min/prod implication is
-    pointwise exact: max(imp(a1, C), imp(a2, C)) == imp(max(a1, a2), C).
+    activation, since max(imp(a1, C), imp(a2, C)) == imp(max(a1, a2), C),
+    and the matrix is implicated and max-reduced whole: min, max and one
+    product round alike in any order, and an unfired term shapes to zero.
+    Other s-norms fold the fired consequents' shaped rows in rule order.
     """
     settings = fis.settings
-    resolution = settings.resolution
-    consequents = _lower(fis).consequents[var.name]
+    lowering = _lower(fis)
+    consequents = lowering.consequents[name]
+    curves = lowering.curves[name]
     if settings.aggregation is SNorm.MAX:
-        strengths = {}
-        for i, term in consequents:
-            act = activations[i]
-            prev = strengths.get(term, 0.0)
-            strengths[term] = act if act > prev else prev
-        passes = [(strengths.get(term, 0.0), term) for term in var.terms]
+        strengths = [[0.0] * curves.shape[1] for _ in bands]
+        for acts, strength in zip(bands, strengths):
+            for i, row in consequents:
+                if acts[i] > strength[row]:
+                    strength[row] = acts[i]
+        shaped = implicate(settings.implication, np.array(strengths)[..., None], curves)
+        agg = np.maximum.reduce(shaped, axis=1)
     else:
-        passes = [(activations[i], term) for i, term in consequents]
-    agg = None
-    for act, term in passes:
-        if act == 0.0:
-            continue
-        shaped = implicate(settings.implication, act,
-                           _term_curve(fis, var, term, resolution, bound))
-        agg = shaped if agg is None else snorm_arrays(settings.aggregation, agg, shaped)
-    if agg is None:
-        agg = np.zeros(resolution)
+        agg = np.zeros((len(bands), curves.shape[2]))
+        fold = functools.partial(snorm_arrays, settings.aggregation)
+        for b, acts in enumerate(bands):
+            fired = [(acts[i], row) for i, row in consequents if acts[i] != 0.0]
+            if fired:
+                fired_acts, rows = zip(*fired)
+                shaped = implicate(settings.implication, np.array(fired_acts)[:, None],
+                                   curves[b, list(rows)])
+                agg[b] = functools.reduce(fold, shaped)
     agg.setflags(write=False)
     return agg
 
@@ -329,20 +324,25 @@ def infer_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
     if fis.kind is not SystemKind.MAMDANI:
         raise EvaluationError(f"infer_mamdani requires a Mamdani system, got {fis.kind.value}")
     firing = fire_rules(fis, inputs)
-    activations = firing.activations
-    resolution = fis.settings.resolution
+    lowering = _lower(fis)
+    centroid = fis.settings.defuzzifier is Defuzzifier.CENTROID
     crisp = {}
     aggregated = {}
     degenerate = []
     for name, var in fis.outputs.items():
-        xs = _grid(fis, var, resolution)
-        agg = _aggregate(fis, var, activations)
+        xs = lowering.grids[name]
+        agg = _aggregate(fis, name, (firing.activations,))[0]
         aggregated[name] = SampledCurve(xs, agg)
-        if np.any(agg):
-            crisp[name] = defuzzify(fis.settings.defuzzifier, xs, agg)
-        else:
+        # The centroid is ``defuzzify``'s, inline; its denominator decides
+        # degeneracy by the same test, under which a NaN curve has mass.
+        mass = float(np.add.accumulate(agg)[-1]) if centroid else float(agg.any())
+        if mass <= 0.0:
             crisp[name] = _zero_fire_value(fis, name, var)
             degenerate.append(name)
+        elif centroid:
+            crisp[name] = float(np.add.accumulate(xs * agg)[-1]) / mass
+        else:
+            crisp[name] = defuzzify(fis.settings.defuzzifier, xs, agg)
     return InferenceResult(crisp=crisp, firing=firing, aggregated=aggregated,
                            degenerate=tuple(degenerate))
 
@@ -367,11 +367,12 @@ def infer_sugeno(fis: FuzzySystem, inputs) -> InferenceResult:
     crisp = {}
     degenerate = []
     for name, var in fis.outputs.items():
+        terms = tuple(var.terms.values())
         num = 0.0
         den = 0.0
-        for i, term in consequents[name]:
+        for i, row in consequents[name]:
             act = activations[i]
-            num = num + act * _sugeno_value(var.terms[term], values)
+            num = num + act * _sugeno_value(terms[row], values)
             den = den + act
         if den <= 0.0:
             crisp[name] = _zero_fire_value(fis, name, var)
@@ -485,19 +486,17 @@ def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
         raise EvaluationError(
             f"infer_it2_mamdani requires an interval type-2 system, got {fis.kind.value}")
     acts = fire_rules_interval(fis, inputs)
-    lower = [p[0] for p in acts]
-    upper = [p[1] for p in acts]
-    resolution = fis.settings.resolution
+    bands = tuple(zip(*acts))  # lower and upper activations
+    lowering = _lower(fis)
     crisp = {}
     aggregated = {}
     intervals = {}
     degenerate = []
     for name, var in fis.outputs.items():
-        xs = _grid(fis, var, resolution)
-        agg_lo = _aggregate(fis, var, lower, "lower")
-        agg_hi = _aggregate(fis, var, upper, "upper")
+        xs = lowering.grids[name]
+        agg_lo, agg_hi = _aggregate(fis, name, bands)
         aggregated[name] = CurveBand(SampledCurve(xs, agg_lo), SampledCurve(xs, agg_hi))
-        if not np.any(agg_hi):
+        if not agg_hi.any():
             value = _zero_fire_value(fis, name, var)
             crisp[name] = value
             intervals[name] = (value, value)

@@ -259,8 +259,8 @@ class FuzzySystem:
         self._check_variables()
         self._check_rules()
         self._check_defaults()
-        # Memoized lowering (engine._lower), grids and curves; curves are
-        # keyed by (output, term, resolution, bound).
+        # Memoized lowering (engine._lower): grids, sampled term curves and
+        # compiled firing, under the key "lowering".
         object.__setattr__(self, "_curve_cache", {})
 
     def _check_variables(self) -> None:

@@ -126,6 +126,105 @@ def maxima_oracle(xs, mus, which):
 
 
 # ---------------------------------------------------------------------------
+# Plain-float Mamdani reference: everything after sampling the term curves
+# is scalar Python arithmetic, written from the operators' definitions.
+
+_S_REF = {
+    SNorm.MAX: lambda a, b: a if a > b else b,
+    SNorm.PROB_SUM: lambda a, b: a + b - a * b,
+    SNorm.BOUNDED_SUM: lambda a, b: min(a + b, 1.0),
+    SNorm.DRASTIC: lambda a, b: b if a == 0.0 else (a if b == 0.0 else 1.0),
+    SNorm.NILPOTENT: lambda a, b: max(a, b) if a + b < 1.0 else 1.0,
+    SNorm.EINSTEIN: lambda a, b: (a + b) / (1.0 + a * b),
+}
+
+
+def aggregate_reference(fis: FuzzySystem, name: str, activations,
+                        bound: str | None = None) -> list:
+    """Aggregated degrees of output ``name`` on its grid, given the rule
+    activations.  ``bound`` ("lower" or "upper") takes that band of an
+    interval type-2 system's terms.
+
+    Term curves come from ``mf.sample`` on ``domain.grid``.  Under max
+    aggregation each term is shaped by its strongest activation; any other
+    s-norm folds every fired consequent in rule order.
+    """
+    settings = fis.settings
+    snorm = _S_REF[settings.aggregation]
+    if settings.implication is Implication.MIN:
+        shape = lambda act, c: c if c < act else act
+    else:
+        shape = lambda act, c: act * c
+    var = fis.outputs[name]
+    grid = var.domain.grid(settings.resolution)
+    curves = {t: (getattr(mf, bound) if bound else mf).sample(grid).tolist()
+              for t, mf in var.terms.items()}
+    cons = [(activations[i], rel.term) for i, rule in enumerate(fis.rules)
+            for rel in rule.consequents if rel.variable == name]
+    if settings.aggregation is SNorm.MAX:
+        strength = {t: 0.0 for t in var.terms}
+        for act, t in cons:
+            strength[t] = max(strength[t], act)
+        cons = [(strength[t], t) for t in var.terms]
+    mus = []
+    for j in range(len(grid)):
+        acc = 0.0
+        for act, t in cons:
+            if act != 0.0:
+                acc = snorm(acc, shape(act, curves[t][j]))
+        mus.append(acc)
+    return mus
+
+
+def mamdani_reference(fis: FuzzySystem, activations) -> tuple:
+    """``(aggregated, crisp, degenerate)`` of a type-1 Mamdani system given
+    its rule activations: per output, the ``aggregate_reference`` degrees,
+    the crisp value and whether nothing fired.  Sums are left folds in grid
+    order; an identically zero curve gives the zero-fire value.
+    """
+    settings = fis.settings
+    aggregated, crisp, degenerate = {}, {}, []
+    for name, var in fis.outputs.items():
+        xs = var.domain.grid(settings.resolution).tolist()
+        mus = aggregate_reference(fis, name, activations)
+        aggregated[name] = mus
+        if not any(mus):
+            crisp[name] = fis.zero_fire_defaults.get(
+                name, 0.5 * (var.domain.low + var.domain.high))
+            degenerate.append(name)
+            continue
+        total = 0.0
+        for v in mus:
+            total += v
+        kind = settings.defuzzifier
+        if kind is Defuzzifier.CENTROID:
+            num = 0.0
+            for x, v in zip(xs, mus):
+                num += x * v
+            crisp[name] = num / total
+        elif kind is Defuzzifier.BISECTOR:
+            acc = 0.0
+            for x, v in zip(xs, mus):
+                acc += v
+                if acc >= 0.5 * total:
+                    crisp[name] = x
+                    break
+        else:
+            top = max(mus)
+            hits = [x for x, v in zip(xs, mus) if v == top]
+            if kind is Defuzzifier.FIRST_OF_MAXIMA:
+                crisp[name] = hits[0]
+            elif kind is Defuzzifier.LAST_OF_MAXIMA:
+                crisp[name] = hits[-1]
+            else:
+                acc = 0.0
+                for x in hits:
+                    acc += x
+                crisp[name] = acc / len(hits)
+    return aggregated, crisp, tuple(degenerate)
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive Karnik-Mendel oracle: try every switch point on both sides.
 
 def km_oracle(xs, lower, upper):
@@ -380,6 +479,11 @@ def t1_collapse(fis: FuzzySystem) -> FuzzySystem:
                        fis.rules, settings, dict(fis.zero_fire_defaults))
 
 
-def random_inputs(rng: random.Random, fis: FuzzySystem) -> dict:
-    return {name: rng.uniform(var.domain.low, var.domain.high)
-            for name, var in fis.inputs.items()}
+def random_inputs(rng: random.Random, fis: FuzzySystem, pad: float = 0.0) -> dict:
+    """Uniform inputs over each domain widened by ``pad`` spans on both sides
+    (inputs past the domain can leave every rule unfired)."""
+    out = {}
+    for name, var in fis.inputs.items():
+        margin = pad * (var.domain.high - var.domain.low)
+        out[name] = rng.uniform(var.domain.low - margin, var.domain.high + margin)
+    return out

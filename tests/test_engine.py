@@ -1,5 +1,7 @@
 """Inference pipeline behaviour checked against independent oracles."""
 
+import dataclasses
+import itertools
 import math
 import random
 
@@ -8,7 +10,7 @@ import pytest
 
 import helpers
 from fuzzkit import (And, Defuzzifier, Domain, EngineSettings, EvaluationError,
-                     FuzzySystem, Gaussian, MissingInputError, Not, Or,
+                     FuzzySystem, Gaussian, Implication, MissingInputError, Not, Or,
                      Relation, Rule, SNorm, SugenoConstant, SugenoLinear,
                      SystemKind, TNorm, Triangular, Variable, corpus, engine)
 from fuzzkit.engine import (defuzzify, eval_proposition, fire_rules,
@@ -218,6 +220,49 @@ def test_zero_fire_fallback_and_override():
     res = infer_mamdani(override, {"a": 9.0})
     assert res.crisp["y"] == 7.5
     assert res.degenerate == ("y",)
+
+
+def test_mamdani_matches_plain_float_reference():
+    # Every aggregation x implication x defuzzifier, on random systems and
+    # on inputs drawn past the domains, so some outputs fire no rule.
+    rng = random.Random(404)
+    combos = list(itertools.product(SNorm, Implication, Defuzzifier))
+    degenerate = 0
+    for k, (agg, imp, defuzz) in enumerate(combos * 3):
+        base = helpers.random_t1_system(rng, 3 * k)  # index % 3 == 0: Mamdani
+        settings = dataclasses.replace(base.settings, aggregation=agg,
+                                       implication=imp, defuzzifier=defuzz)
+        fis = FuzzySystem(base.name, base.kind, base.inputs, base.outputs,
+                          base.rules, settings)
+        for _ in range(4):
+            inputs = helpers.random_inputs(rng, fis, pad=0.5)
+            res = infer(fis, inputs)
+            aggregated, crisp, degen = helpers.mamdani_reference(fis, res.firing)
+            assert {n: c.mus.tolist() for n, c in res.aggregated.items()} == aggregated
+            assert res.crisp == crisp, (fis.settings, inputs)
+            assert res.degenerate == degen
+            degenerate += len(degen)
+    assert degenerate > 0
+
+
+def test_nan_input_behaviour_is_pinned(tipper):
+    # Today's behaviour, not a contract (non-finite inputs are still open):
+    # max aggregation ignores NaN activations, and an aggregated curve of
+    # NaN is not degenerate, so its centroid is NaN.
+    robot = corpus.load_system("robot")
+    res = infer(robot, {"front": 1.0, "left": 1.0, "heading": math.nan, "goal": 3.0})
+    assert sum(1 for a in res.firing if math.isnan(a)) == 16
+    assert res.crisp == {"steer": 2.4088440651667935, "vel": 0.25}
+    assert res.degenerate == ()
+    res = infer(tipper, {"service": math.nan, "food": 5.0})
+    assert res.crisp == {"tip": 15.0}
+    assert res.degenerate == ("tip",)
+    prob_sum = FuzzySystem(
+        tipper.name, tipper.kind, tipper.inputs, tipper.outputs, tipper.rules,
+        dataclasses.replace(tipper.settings, aggregation=SNorm.PROB_SUM))
+    res = infer(prob_sum, {"service": math.nan, "food": 5.0})
+    assert math.isnan(res.crisp["tip"])
+    assert res.degenerate == ()
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,34 @@ def test_it2_zero_fire_default():
     assert res.degenerate == ("y",)
 
 
+def test_it2_matches_plain_float_reference():
+    # Both aggregated bands against the plain-float reference, the interval
+    # against the exhaustive oracle on the reference bands; inputs run past
+    # the domains so that some calls fire no rule.
+    rng = random.Random(83)
+    degenerate = 0
+    for i in range(60):
+        fis = helpers.random_it2_system(rng, zero_width=(i % 4 == 0))
+        var = fis.outputs["y"]
+        for _ in range(5):
+            res = infer_it2_mamdani(fis, helpers.random_inputs(rng, fis, pad=0.5))
+            acts = res.firing_intervals
+            lower = helpers.aggregate_reference(fis, "y", [a[0] for a in acts], "lower")
+            upper = helpers.aggregate_reference(fis, "y", [a[1] for a in acts], "upper")
+            band = res.aggregated["y"]
+            assert band.lower.mus.tolist() == lower
+            assert band.upper.mus.tolist() == upper
+            if any(upper):
+                assert res.degenerate == ()
+                assert res.intervals["y"] == helpers.km_oracle(band.lower.xs, lower, upper)
+            else:
+                mid = 0.5 * (var.domain.low + var.domain.high)
+                assert res.degenerate == ("y",)
+                assert res.intervals["y"] == (mid, mid)
+                degenerate += 1
+    assert degenerate > 0
+
+
 def test_zero_width_it2_collapses_to_t1():
     rng = random.Random(81)
     for _ in range(100):
