@@ -90,7 +90,7 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
         for o, (out_name, var) in enumerate(fis.outputs.items()):
             local = f"_out{o}"
             results.append(local)
-            cons = [(acts[i], row) for i, row in lowering.consequents[out_name]]
+            cons = [(acts[i], row) for i, row in lowering.by_output[o]]
             if fis.kind is SystemKind.SUGENO:
                 _emit_sugeno_output(w, fis, out_name, var, o, local, cons, params)
             else:
@@ -134,11 +134,10 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
 
     w.emit(f"# output {out_name}: grid of {resolution} points with "
            f"pre-sampled term curves (trimmed to their nonzero support)")
-    _wrap_assignment(w, f"_xs{o}", tuple(lowering.grids[out_name].tolist()))
-    col_names = {}
-    col_starts = {}
+    _wrap_assignment(w, f"_xs{o}", tuple(lowering.grids[o].tolist()))
+    col_names, col_starts = {}, {}
     for k, t in enumerate(terms):
-        col = lowering.curves[out_name][0, t].tolist()
+        col = lowering.curves[0, o, t].tolist()
         live = [j for j, c in enumerate(col) if c != 0.0]
         if not live:
             col_names[t] = None  # curve is identically zero on the grid

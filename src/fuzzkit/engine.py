@@ -1,18 +1,18 @@
 """Inference engines: Mamdani, Sugeno and interval type-2 Mamdani.
 
 Each system is lowered once (``_lower``, cached per system): the antecedent
-terms it uses, its consequents per output, its output term curves sampled
-once, and a compiled rule-firing function that type-1 and interval type-2
-systems alike run.  Inference, aggregation and ``codegen`` all read that one
-lowering.  The type-1 tree walk (``_fuzzify`` + ``_eval_table``) remains
-only behind ``eval_proposition``, the reference compiled firing is tested
-against.
+terms it uses, one consequent list over all outputs, the term curves of all
+outputs sampled once into one stacked matrix, and a compiled rule-firing
+function that type-1 and interval type-2 systems alike run.  Inference,
+aggregation and ``codegen`` all read that one lowering.  The type-1 tree
+walk (``_fuzzify`` + ``_eval_table``) remains only behind
+``eval_proposition``, the reference compiled firing is tested against.
 
-The Mamdani pipeline shapes each output's pre-sampled term matrix by the
-rule activations, reduces it with the aggregation s-norm and defuzzifies.
-Grid sums are sequential (left to right, ``np.add.accumulate``, which is
-``np.cumsum``) so that code emitted by ``codegen``, which accumulates in
-plain Python loops, reproduces the interpreter bit for bit.
+One Mamdani call shapes the whole matrix by the rule activations, reduces it
+with the aggregation s-norm and defuzzifies every output.  Grid sums run
+left to right along each row (``np.add.accumulate``, which is ``np.cumsum``)
+so that code ``codegen`` emits, accumulating in plain Python loops,
+reproduces the interpreter bit for bit.
 
 All entry points are pure: they never mutate the system or the inputs, so a
 validated system can serve concurrent callers.  The per-system lowering
@@ -22,6 +22,7 @@ cache is a benign-race memo (a redundant fill computes identical arrays).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -151,21 +152,25 @@ class _Lowering:
     """A system lowered once for every backend (see ``_lower``).
 
     ``relations`` lists the antecedent ``(variable, term)`` pairs in
-    first-use order; ``consequents`` maps each output to its
-    ``(rule index, row)`` pairs in rule order, ``row`` indexing its terms in
-    declaration order.  For a Mamdani output, ``grids`` holds its grid and
-    ``curves`` a ``(bands, terms, resolution)`` matrix of every term curve
-    sampled on it, one band for type-1, lower and upper for interval type-2
-    (both read-only).  ``fire`` maps a dict of input values to the tuple of
-    rule activations, ``(lower, upper)`` pairs under interval type-2; it is
-    compiled on first use (``_fire_fn``), so generating code alone never
-    compiles it.
+    first-use order; ``consequents`` every output's ``(rule index, slot)``
+    pairs in rule order, ``slot = output * width + term`` in declaration
+    order, ``width`` being the largest term count of an output, and
+    ``by_output`` the same pairs per output as ``(rule index, term)``, for
+    the paths that work one output at a time.  A Mamdani system has one
+    ``(outputs, resolution)`` array of ``grids`` (``moments`` stacks ones on
+    it) and one ``(bands, outputs, width, resolution)`` term-curve matrix
+    ``curves``, all read-only: one band for type-1, lower and upper for IT2,
+    zero rows padding outputs with fewer terms.  ``fire`` (rule activations,
+    ``(lower, upper)`` pairs for IT2, from a dict of input values) compiles
+    on first use (``_fire_fn``), so code generation alone never compiles it.
     """
 
     relations: tuple
-    consequents: dict
-    grids: dict
-    curves: dict
+    consequents: tuple
+    by_output: tuple
+    grids: np.ndarray | None = None
+    moments: np.ndarray | None = None
+    curves: np.ndarray | None = None
     fire: object = None
 
 
@@ -199,23 +204,27 @@ def _lower(fis: FuzzySystem) -> _Lowering:
         relations = tuple(dict.fromkeys(
             (rel.variable, rel.term)
             for rule in fis.rules for rel in _relations(rule.antecedent)))
-        consequents, grids, curves = {}, {}, {}
-        for name, var in fis.outputs.items():
-            row = {term: r for r, term in enumerate(var.terms)}
-            consequents[name] = tuple(
-                (i, row[rel.term]) for i, rule in enumerate(fis.rules)
-                for rel in rule.consequents if rel.variable == name)
-            if fis.kind is SystemKind.SUGENO:
-                continue
-            grid = grids[name] = var.domain.grid(fis.settings.resolution)
-            mfs = tuple(var.terms.values())
-            bands = (mfs,) if fis.kind is SystemKind.MAMDANI else (
-                [p.lower for p in mfs], [p.upper for p in mfs])
-            curves[name] = np.array([[mf.sample(grid) for mf in b] for b in bands])
-            grid.setflags(write=False)
-            curves[name].setflags(write=False)
-        lowering = _Lowering(relations, consequents, grids, curves)
-        cache["lowering"] = lowering
+        outputs = fis.outputs.values()
+        width = max(len(var.terms) for var in outputs)
+        slot = {(var.name, term): o * width + t for o, var in enumerate(outputs)
+                for t, term in enumerate(var.terms)}
+        consequents = tuple((i, slot[rel.variable, rel.term])
+                            for i, rule in enumerate(fis.rules) for rel in rule.consequents)
+        by_output = tuple(tuple((i, s - o * width) for i, s in consequents if s // width == o)
+                          for o in range(len(outputs)))
+        grids = moments = curves = None
+        if fis.kind is not SystemKind.SUGENO:
+            grids = np.array([var.domain.grid(fis.settings.resolution) for var in outputs])
+            moments = np.stack((np.ones_like(grids), grids))
+            bounds = (None,) if fis.kind is SystemKind.MAMDANI else ("lower", "upper")
+            curves = np.zeros((len(bounds), len(grids), width, grids.shape[1]))
+            for (b, bound), (o, var) in itertools.product(enumerate(bounds), enumerate(outputs)):
+                for t, mf in enumerate(var.terms.values()):
+                    curves[b, o, t] = (getattr(mf, bound) if bound else mf).sample(grids[o])
+            for a in (grids, moments, curves):
+                a.setflags(write=False)
+        lowering = cache["lowering"] = _Lowering(relations, consequents, by_output, grids,
+                                                 moments, curves)
     return lowering
 
 
@@ -240,40 +249,41 @@ def fire_rules_interval(fis: FuzzySystem, inputs) -> tuple[tuple[float, float], 
     return _fire_fn(fis)(_input_values(fis, inputs))
 
 
-def _aggregate(fis: FuzzySystem, name: str, bands) -> np.ndarray:
-    """Read-only aggregated curves of output ``name``, one row per band of
-    its term matrix: every consequent term curve shaped by its rule's
-    activation, folded with the aggregation s-norm.  ``bands`` holds the
-    activations of each band (type-1: one; interval type-2: lower, upper).
+def _aggregate(fis: FuzzySystem, bands) -> np.ndarray:
+    """Read-only ``(bands, outputs, resolution)`` aggregated curves: each
+    consequent term curve shaped by its rule's activation, folded per output
+    with the aggregation s-norm.  ``bands`` holds the activations of each
+    band of the term matrix (type-1: one; interval type-2: lower, upper).
 
     Under max-aggregation each term is shaped once, by its strongest
-    activation, since max(imp(a1, C), imp(a2, C)) == imp(max(a1, a2), C),
-    and the matrix is implicated and max-reduced whole: min, max and one
-    product round alike in any order, and an unfired term shapes to zero.
-    Other s-norms fold the fired consequents' shaped rows in rule order.
+    activation, as max(imp(a1, C), imp(a2, C)) == imp(max(a1, a2), C); the
+    whole matrix is implicated and max-reduced over its terms, exactly: min,
+    max and one product round alike in any order, and unfired terms and
+    padding rows shape to zero, the identity of max over non-negative rows.
+    Other s-norms fold each output's fired consequents in rule order.
     """
     settings = fis.settings
     lowering = _lower(fis)
-    consequents = lowering.consequents[name]
-    curves = lowering.curves[name]
+    curves = lowering.curves
     if settings.aggregation is SNorm.MAX:
-        strengths = [[0.0] * curves.shape[1] for _ in bands]
+        strengths = [[0.0] * (curves.shape[1] * curves.shape[2]) for _ in bands]
         for acts, strength in zip(bands, strengths):
-            for i, row in consequents:
-                if acts[i] > strength[row]:
-                    strength[row] = acts[i]
-        shaped = implicate(settings.implication, np.array(strengths)[..., None], curves)
-        agg = np.maximum.reduce(shaped, axis=1)
+            for i, slot in lowering.consequents:
+                if acts[i] > strength[slot]:
+                    strength[slot] = acts[i]
+        shaped = implicate(settings.implication,
+                           np.array(strengths).reshape(curves.shape[:3] + (1,)), curves)
+        agg = np.maximum.reduce(shaped, axis=-2)
     else:
-        agg = np.zeros((len(bands), curves.shape[2]))
+        agg = np.zeros(curves.shape[:2] + curves.shape[3:])
         fold = functools.partial(snorm_arrays, settings.aggregation)
-        for b, acts in enumerate(bands):
-            fired = [(acts[i], row) for i, row in consequents if acts[i] != 0.0]
+        for o, (b, acts) in itertools.product(range(curves.shape[1]), enumerate(bands)):
+            fired = [(acts[i], row) for i, row in lowering.by_output[o] if acts[i] != 0.0]
             if fired:
                 fired_acts, rows = zip(*fired)
                 shaped = implicate(settings.implication, np.array(fired_acts)[:, None],
-                                   curves[b, list(rows)])
-                agg[b] = functools.reduce(fold, shaped)
+                                   curves[b, o, list(rows)])
+                agg[b, o] = functools.reduce(fold, shaped)
     agg.setflags(write=False)
     return agg
 
@@ -325,24 +335,24 @@ def infer_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
         raise EvaluationError(f"infer_mamdani requires a Mamdani system, got {fis.kind.value}")
     firing = fire_rules(fis, inputs)
     lowering = _lower(fis)
-    centroid = fis.settings.defuzzifier is Defuzzifier.CENTROID
-    crisp = {}
-    aggregated = {}
-    degenerate = []
-    for name, var in fis.outputs.items():
-        xs = lowering.grids[name]
-        agg = _aggregate(fis, name, (firing.activations,))[0]
-        aggregated[name] = SampledCurve(xs, agg)
-        # The centroid is ``defuzzify``'s, inline; its denominator decides
-        # degeneracy by the same test, under which a NaN curve has mass.
-        mass = float(np.add.accumulate(agg)[-1]) if centroid else float(agg.any())
+    agg = _aggregate(fis, (firing.activations,))[0]
+    kind = fis.settings.defuzzifier
+    # One accumulate gives ``defuzzify``'s centroid sums of every output (rows
+    # run left to right, 1.0 * mu is exact); a NaN denominator is not degenerate.
+    if kind is Defuzzifier.CENTROID:
+        sums = np.add.accumulate(lowering.moments * agg, axis=-1)[..., -1].tolist()
+    else:
+        sums = [agg.any(axis=-1).tolist()] * 2
+    crisp, aggregated, degenerate = {}, {}, []
+    for (name, var), xs, mus, mass, num in zip(fis.outputs.items(), lowering.grids, agg, *sums):
+        aggregated[name] = SampledCurve(xs, mus)
         if mass <= 0.0:
             crisp[name] = _zero_fire_value(fis, name, var)
             degenerate.append(name)
-        elif centroid:
-            crisp[name] = float(np.add.accumulate(xs * agg)[-1]) / mass
+        elif kind is Defuzzifier.CENTROID:
+            crisp[name] = num / mass
         else:
-            crisp[name] = defuzzify(fis.settings.defuzzifier, xs, agg)
+            crisp[name] = defuzzify(kind, xs, mus)
     return InferenceResult(crisp=crisp, firing=firing, aggregated=aggregated,
                            degenerate=tuple(degenerate))
 
@@ -363,14 +373,11 @@ def infer_sugeno(fis: FuzzySystem, inputs) -> InferenceResult:
         raise EvaluationError(f"infer_sugeno requires a Sugeno system, got {fis.kind.value}")
     values = _input_values(fis, inputs)
     activations = _fire_fn(fis)(values)
-    consequents = _lower(fis).consequents
-    crisp = {}
-    degenerate = []
-    for name, var in fis.outputs.items():
+    crisp, degenerate = {}, []
+    for (name, var), consequents in zip(fis.outputs.items(), _lower(fis).by_output):
         terms = tuple(var.terms.values())
-        num = 0.0
-        den = 0.0
-        for i, row in consequents[name]:
+        num = den = 0.0
+        for i, row in consequents:
             act = activations[i]
             num = num + act * _sugeno_value(terms[row], values)
             den = den + act
@@ -486,25 +493,18 @@ def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
         raise EvaluationError(
             f"infer_it2_mamdani requires an interval type-2 system, got {fis.kind.value}")
     acts = fire_rules_interval(fis, inputs)
-    bands = tuple(zip(*acts))  # lower and upper activations
-    lowering = _lower(fis)
-    crisp = {}
-    aggregated = {}
-    intervals = {}
-    degenerate = []
-    for name, var in fis.outputs.items():
-        xs = lowering.grids[name]
-        agg_lo, agg_hi = _aggregate(fis, name, bands)
-        aggregated[name] = CurveBand(SampledCurve(xs, agg_lo), SampledCurve(xs, agg_hi))
-        if not agg_hi.any():
-            value = _zero_fire_value(fis, name, var)
-            crisp[name] = value
+    lowers, uppers = _aggregate(fis, tuple(zip(*acts)))  # lower and upper activations
+    crisp, aggregated, intervals, degenerate = {}, {}, {}, []
+    for (name, var), xs, lower, upper, mass in zip(fis.outputs.items(), _lower(fis).grids,
+                                                   lowers, uppers, uppers.any(axis=-1).tolist()):
+        aggregated[name] = CurveBand(SampledCurve(xs, lower), SampledCurve(xs, upper))
+        if mass:
+            y_left, y_right = intervals[name] = _km_bounds(xs, lower, upper)
+            crisp[name] = 0.5 * (y_left + y_right)
+        else:
+            crisp[name] = value = _zero_fire_value(fis, name, var)
             intervals[name] = (value, value)
             degenerate.append(name)
-            continue
-        y_left, y_right = _km_bounds(xs, agg_lo, agg_hi)
-        intervals[name] = (y_left, y_right)
-        crisp[name] = 0.5 * (y_left + y_right)
     return InferenceResult(crisp=crisp, firing=None, aggregated=aggregated,
                            degenerate=tuple(degenerate), intervals=intervals,
                            firing_intervals=acts)
@@ -562,6 +562,7 @@ def denoise_detector(fis: FuzzySystem, inputs, gray_levels: int = 256) -> float:
     """Canonical impulse-noise detector binding: rules 1-13 vote positive,
     rules 14-26 vote negative."""
     if len(fis.rules) != 26:
-        raise EvaluationError(
-            f"denoise detector expects exactly 26 rules, got {len(fis.rules)}")
-    return grouped_max_output(fis, inputs, gray_levels, *_DENOISE_GROUPS)
+        raise EvaluationError(f"denoise detector expects exactly 26 rules, got {len(fis.rules)}")
+    if gray_levels < 2:
+        raise EvaluationError(f"gray_levels must be at least 2, got {gray_levels}")
+    return _grouped_max(fire_rules(fis, inputs).activations, gray_levels, *_DENOISE_GROUPS)

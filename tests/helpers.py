@@ -460,6 +460,44 @@ def random_it2_system(rng: random.Random, zero_width: bool = False) -> FuzzySyst
                        tuple(rules), settings)
 
 
+def uneven_outputs_system(rng: random.Random, settings: EngineSettings,
+                          interval: bool = False) -> FuzzySystem:
+    """Mamdani system (interval type-2 with ``interval``) with two outputs of
+    2 and 5 random terms, declared in random order, and rules in random
+    order.  Its one input ``a`` on [0, 10] fires only output ``p`` below 4,
+    nothing on [4, 6], only ``q`` on (6, 8.5] and both above 8.5."""
+    def tri(lower, upper):
+        return IntervalMF(Triangular(*lower), Triangular(*upper)) if interval \
+            else Triangular(*upper)
+
+    a = Variable("a", Domain(0.0, 10.0), {
+        "low": tri((0, 0, 3), (0, 0, 4)),
+        "high": tri((7, 10, 10), (6, 10, 10)),
+        "top": tri((9, 10, 10), (8.5, 10, 10)),
+    })
+    counts = {"p": 2, "q": 5}
+    names = list(counts)
+    rng.shuffle(names)
+    outputs = {}
+    for name in names:
+        lo = rng.uniform(-10.0, 5.0)
+        hi = lo + rng.uniform(2.0, 25.0)
+        outputs[name] = Variable(name, Domain(lo, hi), {
+            f"z{j}": _nested_pair(rng, lo, hi, False) if interval else random_mf(rng, lo, hi)
+            for j in range(counts[name])})
+
+    def rule(term, out):
+        return Rule(Relation("a", term),
+                    (Relation(out, rng.choice(list(outputs[out].terms))),),
+                    rng.choice((1.0, rng.uniform(0.2, 1.0))))
+
+    rules = [rule("low", "p"), rule("low", "p"), rule("top", "p"),
+             rule("high", "q"), rule("high", "q"), rule("top", "q")]
+    rng.shuffle(rules)
+    return FuzzySystem("uneven", SystemKind.MAMDANI_IT2 if interval else SystemKind.MAMDANI,
+                       {"a": a}, outputs, tuple(rules), settings)
+
+
 def t1_collapse(fis: FuzzySystem) -> FuzzySystem:
     """Type-1 twin of a zero-width IT2 system (upper bound of every term)."""
     def collapse(var: Variable) -> Variable:

@@ -245,6 +245,45 @@ def test_mamdani_matches_plain_float_reference():
     assert degenerate > 0
 
 
+def test_uneven_outputs_match_plain_float_reference():
+    # Outputs of 2 and 5 terms share one term matrix, the smaller padded
+    # with zero rows; inputs sweep regions where one output fires and the
+    # other fires nothing.
+    rng = random.Random(505)
+    one_sided = 0
+    for agg, imp, defuzz in itertools.product(SNorm, Implication, Defuzzifier):
+        settings = EngineSettings(implication=imp, aggregation=agg, defuzzifier=defuzz)
+        fis = helpers.uneven_outputs_system(rng, settings)
+        for a in np.linspace(-1.0, 11.0, 49).tolist():
+            res = infer(fis, {"a": a})
+            aggregated, crisp, degen = helpers.mamdani_reference(fis, res.firing)
+            assert {n: c.mus.tolist() for n, c in res.aggregated.items()} == aggregated
+            assert res.crisp == crisp, (fis, a)
+            assert res.degenerate == degen
+            one_sided += len(degen) == 1 and any(res.firing)
+    assert one_sided > 0
+
+
+def test_aggregated_curves_are_read_only_on_their_grids():
+    rng = random.Random(606)
+    systems = [corpus.load_system(case) for case in corpus.CASES]
+    systems += [helpers.random_t1_system(rng, 3 * k) for k in range(30)]
+    systems += [helpers.random_it2_system(rng) for _ in range(30)]
+    systems += [helpers.uneven_outputs_system(rng, EngineSettings(), interval)
+                for interval in (False, True)]
+    for fis in systems:
+        res = infer(fis, helpers.random_inputs(rng, fis))
+        for name, var in fis.outputs.items():
+            agg = res.aggregated[name]
+            for curve in (agg.lower, agg.upper) if fis.kind is SystemKind.MAMDANI_IT2 \
+                    else (agg,):
+                assert np.array_equal(curve.xs, var.domain.grid(fis.settings.resolution))
+                for arr in (curve.xs, curve.mus):
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr[0] = 0.5
+
+
 def test_nan_input_behaviour_is_pinned(tipper):
     # Today's behaviour, not a contract (non-finite inputs are still open):
     # max aggregation ignores NaN activations, and an aggregated curve of

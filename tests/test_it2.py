@@ -1,13 +1,15 @@
 """Interval type-2 inference and Karnik-Mendel type reduction."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 import helpers
-from fuzzkit import (Domain, EvaluationError, FuzzySystem, IntervalMF, Relation,
-                     Rule, SystemKind, Triangular, Variable)
+from fuzzkit import (Domain, EngineSettings, EvaluationError, FuzzySystem,
+                     Implication, IntervalMF, Relation, Rule, SNorm, SystemKind,
+                     Triangular, Variable)
 from fuzzkit.engine import (fire_rules, fire_rules_interval, infer,
                             infer_it2_mamdani, infer_mamdani, km_reduce)
 
@@ -242,6 +244,37 @@ def test_it2_matches_plain_float_reference():
                 assert res.intervals["y"] == (mid, mid)
                 degenerate += 1
     assert degenerate > 0
+
+
+def test_it2_uneven_outputs_match_plain_float_reference():
+    # The interval type-2 twin of the uneven-outputs type-1 test: both bands
+    # of outputs with 2 and 5 terms, padded into one term matrix.
+    rng = random.Random(506)
+    one_sided = 0
+    for agg, imp in itertools.product(SNorm, Implication):
+        fis = helpers.uneven_outputs_system(
+            rng, EngineSettings(implication=imp, aggregation=agg), interval=True)
+        for a in np.linspace(-1.0, 11.0, 49).tolist():
+            res = infer_it2_mamdani(fis, {"a": a})
+            acts = res.firing_intervals
+            degenerate = []
+            for name, var in fis.outputs.items():
+                lower = helpers.aggregate_reference(fis, name, [x[0] for x in acts], "lower")
+                upper = helpers.aggregate_reference(fis, name, [x[1] for x in acts], "upper")
+                band = res.aggregated[name]
+                assert band.lower.mus.tolist() == lower
+                assert band.upper.mus.tolist() == upper
+                if any(upper):
+                    want = helpers.km_oracle(band.lower.xs, lower, upper)
+                else:
+                    mid = 0.5 * (var.domain.low + var.domain.high)
+                    want = (mid, mid)
+                    degenerate.append(name)
+                assert res.intervals[name] == want, (fis, a)
+                assert res.crisp[name] == 0.5 * (want[0] + want[1])
+            assert res.degenerate == tuple(degenerate)
+            one_sided += len(degenerate) == 1
+    assert one_sided > 0
 
 
 def test_zero_width_it2_collapses_to_t1():
