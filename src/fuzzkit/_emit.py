@@ -167,31 +167,31 @@ def emit_mf(w: Writer, mf, x: str, out: str) -> None:
         w.level -= 1
         return
     if isinstance(mf, PiecewiseLinear):
-        xs = mf._xs
-        ys = mf._ys
-        px = w.sym("_px")
-        py = w.sym("_py")
-        k = w.sym("_k")
-        w.emit(f"{px} = ({', '.join(repr(v) for v in xs)}{',' if len(xs) == 1 else ''})")
-        w.emit(f"{py} = ({', '.join(repr(v) for v in ys)}{',' if len(ys) == 1 else ''})")
-        w.emit(f"if {x} <= {px}[0]:")
+        # One comparison per breakpoint.  Each segment's rise and run are
+        # subtracted here, the same IEEE subtractions ``__call__`` makes at
+        # run time.  NaN fails every comparison and lands in the last branch,
+        # whose result is NaN too.
+        xs, ys = mf._xs, mf._ys
+        w.emit(f"if {x} <= {lit(xs[0])}:")
         w.level += 1
-        w.emit(f"{out} = {py}[0]")
+        w.emit(f"{out} = {lit(ys[0])}")
         w.level -= 1
-        w.emit(f"elif {x} >= {px}[-1]:")
+        w.emit(f"elif {x} >= {lit(xs[-1])}:")
         w.level += 1
-        w.emit(f"{out} = {py}[-1]")
+        w.emit(f"{out} = {lit(ys[-1])}")
         w.level -= 1
-        w.emit("else:")
-        w.level += 1
-        w.emit(f"{k} = 0")
-        w.emit(f"while {px}[{k} + 1] <= {x}:")
-        w.level += 1
-        w.emit(f"{k} += 1")
-        w.level -= 1
-        w.emit(f"{out} = ({x} - {px}[{k}]) * ({py}[{k} + 1] - {py}[{k}]) / "
-               f"({px}[{k} + 1] - {px}[{k}]) + {py}[{k}]")
-        w.level -= 1
+        last = len(xs) - 2
+        for i in range(last + 1):
+            w.emit("else:" if i == last else f"elif {x} < {lit(xs[i + 1])}:")
+            w.level += 1
+            w.emit(f"{out} = ({x} - {lit(xs[i])}) * {lit(ys[i + 1] - ys[i])} / "
+                   f"{lit(xs[i + 1] - xs[i])} + {lit(ys[i])}")
+            w.level -= 1
+        if last < 0:  # a single node: only NaN gets here
+            w.emit("else:")
+            w.level += 1
+            w.emit(f"{out} = {x}")
+            w.level -= 1
         return
     raise EvaluationError(f"cannot emit code for membership function {mf!r}")
 

@@ -7,16 +7,25 @@ norms, the aggregation loop and the defuzzifier are specialized with the
 system's constants baked in; consequent curves are pre-sampled onto the
 output grids at generation time.
 
+Under max aggregation with the centroid defuzzifier, each Mamdani output is
+aggregated and summed in one pass: the grid is split at generation time into
+maximal runs of points covered by the same positive term columns, and each
+run is one loop over literal slices of the grid and those columns, entered
+only when one of its terms fired.  Other operator choices fill a list of
+aggregated degrees over each fired term's support, then defuzzify it.
+
 Generated functions reproduce the interpreter bit for bit: the antecedent
 prologue is the one ``_emit.emit_antecedents`` writes for the engine's
 compiled firing, consequents follow the engine's lowering of the system
 (``engine._lower``), consequent columns are rows of the term matrix the
 interpreter aggregates, and grid reductions accumulate in the same
-left-to-right order as the engine's ``np.add.accumulate`` totals.
+left-to-right order as the engine's ``np.add.accumulate`` totals.  Sums are
+plain left folds, never ``sum`` or ``math.fsum``, which round differently.
 """
 
 from __future__ import annotations
 
+import itertools
 import textwrap
 import types
 
@@ -29,8 +38,7 @@ from .norms import Defuzzifier, Implication, SNorm
 _WIDTH = 88
 
 
-def _wrap_assignment(w: _emit.Writer, name: str, value) -> None:
-    text = f"{name} = {value!r}"
+def _wrap(w: _emit.Writer, text: str) -> None:
     indent = "    " * w.level
     for line in textwrap.wrap(text, width=_WIDTH, initial_indent=indent,
                               subsequent_indent=indent + "    ",
@@ -124,6 +132,7 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
     settings = fis.settings
     resolution = settings.resolution
     grouped = settings.aggregation is SNorm.MAX
+    fused = grouped and settings.defuzzifier is Defuzzifier.CENTROID
 
     if grouped:
         # Terms reached by any rule, in declaration order; each contributes
@@ -132,19 +141,23 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
     else:
         terms = list(dict.fromkeys(t for _, t in cons))
 
-    w.emit(f"# output {out_name}: grid of {resolution} points with "
-           f"pre-sampled term curves (trimmed to their nonzero support)")
-    _wrap_assignment(w, f"_xs{o}", tuple(lowering.grids[o].tolist()))
-    col_names, col_starts = {}, {}
-    for k, t in enumerate(terms):
-        col = lowering.curves[0, o, t].tolist()
-        live = [j for j, c in enumerate(col) if c != 0.0]
-        if not live:
-            col_names[t] = None  # curve is identically zero on the grid
-            continue
-        col_names[t] = f"_col{o}_{k}"
-        col_starts[t] = live[0]
-        _wrap_assignment(w, col_names[t], tuple(col[live[0]:live[-1] + 1]))
+    if fused:
+        w.emit(f"# output {out_name}: centroid over {resolution} grid points, "
+               f"one loop per run of points the same terms cover")
+    else:
+        w.emit(f"# output {out_name}: grid of {resolution} points with "
+               f"pre-sampled term curves (trimmed to their nonzero support)")
+        _wrap(w, f"_xs{o} = {tuple(lowering.grids[o].tolist())!r}")
+        col_names, col_starts = {}, {}
+        for k, t in enumerate(terms):
+            col = lowering.curves[0, o, t].tolist()
+            live = [j for j, c in enumerate(col) if c != 0.0]
+            if not live:
+                col_names[t] = None  # curve is identically zero on the grid
+                continue
+            col_names[t] = f"_col{o}_{k}"
+            col_starts[t] = live[0]
+            _wrap(w, f"{col_names[t]} = {tuple(col[live[0]:live[-1] + 1])!r}")
 
     if grouped:
         strengths = {}
@@ -156,6 +169,13 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
             w.level += 1
             w.emit(f"{strengths[t]} = {act}")
             w.level -= 1
+
+    zero = _emit.lit(_zero_fire_value(fis, out_name, var))
+    if fused:
+        _emit_run_centroid(w, settings.implication, lowering, o,
+                           [(strengths[t], t) for t in terms])
+        w.emit(f"{local} = _num{o} / _den{o} if _den{o} > 0.0 else {zero}")
+        return
 
     # Zero-strength terms leave the curve untouched (implication yields 0,
     # aggregation with 0 is the identity), so they are skipped outright.
@@ -183,7 +203,6 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
         w.level -= 2
 
     defuzz = settings.defuzzifier
-    zero = _emit.lit(_zero_fire_value(fis, out_name, var))
     if defuzz is Defuzzifier.CENTROID:
         w.emit(f"_num{o} = 0.0")
         w.emit(f"_den{o} = 0.0")
@@ -254,6 +273,50 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
     w.level += 1
     w.emit(f"{local} = {zero}")
     w.level -= 1
+
+
+def _emit_run_centroid(w, implication, lowering, o, strengths) -> None:
+    """Max-aggregate and sum the centroid of output ``o`` in one pass.
+
+    ``strengths`` pairs each reached term's strength local with its row, in
+    declaration order.  The grid is split at generation time into maximal
+    runs of points where the same terms are positive; each run gets one loop
+    (a run of one point, straight-line code), guarded by "some covering term
+    fired".  Skipped points would add aggregated degree 0.0 (a term that did
+    not fire or is not positive there implicates to at most 0.0), and both
+    sums start at 0.0, so skipping them leaves the left-to-right sums bit for
+    bit unchanged.
+    """
+    xs = lowering.grids[o].tolist()
+    cols = [(s, lowering.curves[0, o, t].tolist()) for s, t in strengths]
+    w.emit(f"_num{o} = 0.0")
+    w.emit(f"_den{o} = 0.0")
+    cover = [tuple(k for k, (_, col) in enumerate(cols) if col[j] > 0.0)
+             for j in range(len(xs))]
+    j = 0
+    for run, points in itertools.groupby(cover):
+        lo, j = j, j + len(list(points))
+        if not run:
+            continue
+        acts = [cols[k][0] for k in run]
+        w.emit(f"if {' or '.join(acts)}:")  # strengths are never negative or NaN
+        w.level += 1
+        single = j - lo == 1
+        if single:
+            x, cs = _emit.lit(xs[lo]), [_emit.lit(cols[k][1][lo]) for k in run]
+        else:
+            x, cs = "_x", [f"_c{i}" for i in range(len(run))]
+            columns = ", ".join(repr(tuple(col[lo:j]))
+                                for col in (xs, *(cols[k][1] for k in run)))
+            _wrap(w, f"for _x, {', '.join(cs)} in zip({columns}):")
+            w.level += 1
+        for i, (act, c) in enumerate(zip(acts, cs)):
+            _implicate_lines(w, implication, act, c, "_w" if i else "_v")
+            if i:
+                w.emit("_v = _w if _w > _v else _v")
+        w.emit(f"_den{o} += _v")
+        w.emit(f"_num{o} += {x} * _v")
+        w.level -= 1 if single else 2
 
 
 def load(source: str):

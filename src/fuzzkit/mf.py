@@ -259,6 +259,8 @@ class PiecewiseLinear(MembershipFunction):
             return ys[0]
         if x >= xs[-1]:
             return ys[-1]
+        if x != x:  # NaN lies in no segment
+            return x
         i = bisect_right(xs, x) - 1
         x0, x1 = xs[i], xs[i + 1]
         y0, y1 = ys[i], ys[i + 1]

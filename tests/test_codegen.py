@@ -1,6 +1,7 @@
 """Standalone source generation: equivalence with the interpreter and hygiene
 of the emitted text."""
 
+import dataclasses
 import keyword
 import math
 import random
@@ -9,8 +10,9 @@ import re
 import pytest
 
 import helpers
-from fuzzkit import (And, Domain, FuzzySystem, Relation, Rule, SystemKind,
-                     Triangular, Variable, corpus)
+from fuzzkit import (And, Defuzzifier, Domain, EngineSettings, FuzzySystem,
+                     Gaussian, Implication, ModelError, Or, PiecewiseLinear, Relation, Rule,
+                     SNorm, SystemKind, Trapezoidal, Triangular, Variable, corpus)
 from fuzzkit.codegen import CodegenError, generate, load
 from fuzzkit.engine import fire_rules, infer
 
@@ -89,6 +91,131 @@ def test_helper_variant_matches_inline(tipper):
         assert inline(s, f) == helper(s, f)
 
 
+def _run_pass_system(rng, implication):
+    """Two-output Mamdani system under max aggregation and the centroid whose
+    output terms give the one-pass run loops every shape: four overlapping
+    Gaussians on ``y`` (runs covered by three and more terms); on ``z`` a
+    polyline with interior zeros (a support with gaps), a triangle between
+    two grid points (identically zero on the grid), a trapezoid and a
+    one-segment polyline at the domain's edge."""
+    a = Variable("a", Domain(0.0, 10.0),
+                 {f"t{k}": Triangular(2.5 * k - 3.0, 2.5 * k, 2.5 * k + 3.0)
+                  for k in range(5)})
+    b = Variable("b", Domain(-1.0, 1.0), {"neg": Triangular(-1.5, -1.0, -0.2),
+                                          "pos": Triangular(0.2, 1.0, 1.5)})
+    y = Variable("y", Domain(0.0, 10.0),
+                 {f"g{k}": Gaussian(rng.uniform(0.0, 10.0), rng.uniform(1.5, 4.0))
+                  for k in range(4)})
+    z = Variable("z", Domain(-5.0, 5.0), {
+        "gappy": PiecewiseLinear(((-5.0, 0.0), (-4.0, 1.0), (-3.0, 0.0), (-1.0, 0.0),
+                                  (0.0, rng.uniform(0.3, 1.0)), (1.0, 0.0), (2.0, 0.0),
+                                  (3.0, rng.uniform(0.3, 1.0)), (4.0, 0.0))),
+        "sliver": Triangular(0.01, 0.02, 0.03),
+        "plateau": Trapezoidal(-2.0, -1.0, 2.0, rng.uniform(2.5, 4.5)),
+        "edge": PiecewiseLinear(((-5.0, 1.0), (-4.5, 0.0))),
+    })
+
+    def weight():
+        return rng.choice((1.0, rng.uniform(0.2, 1.0)))
+
+    rules = [Rule(Relation("a", f"t{k}"), (Relation("y", f"g{k % 4}"),), weight())
+             for k in range(5)]
+    rules += [Rule(Relation("b", "neg"), (Relation("z", "gappy"),), weight()),
+              Rule(Relation("b", "pos"), (Relation("z", "sliver"),), weight()),
+              Rule(And(Relation("a", "t1"), Relation("b", "pos")),
+                   (Relation("z", "plateau"), Relation("y", "g2")), weight()),
+              Rule(Or(Relation("a", "t3"), Relation("b", "neg")),
+                   (Relation("z", "edge"),), weight())]
+    rng.shuffle(rules)
+    settings = EngineSettings(implication=implication, aggregation=SNorm.MAX,
+                              defuzzifier=Defuzzifier.CENTROID)
+    return FuzzySystem("runs", SystemKind.MAMDANI, {"a": a, "b": b}, {"y": y, "z": z},
+                       tuple(rules), settings)
+
+
+@pytest.mark.parametrize("implication", list(Implication))
+def test_run_pass_matches_interpreter_bitwise(implication):
+    # The one-pass loops of max aggregation with the centroid equal infer and
+    # the plain-float reference with ==, inputs included where nothing fires.
+    rng = random.Random(119)
+    systems = [_run_pass_system(rng, implication) for _ in range(4)]
+    z = systems[0].outputs["z"]
+    assert not z.terms["sliver"].sample(z.domain.grid(101)).any()
+    for case in ("robot", "tipper"):
+        base = corpus.load_system(case)
+        settings = dataclasses.replace(base.settings, implication=implication,
+                                       aggregation=SNorm.MAX,
+                                       defuzzifier=Defuzzifier.CENTROID)
+        systems.append(FuzzySystem(base.name, base.kind, base.inputs, base.outputs,
+                                   base.rules, settings))
+    assert "_c2" in generate(systems[0])  # some run is covered by three terms
+    degenerate = 0
+    for fis in systems:
+        fn = load(generate(fis))
+        names = list(fis.inputs)
+        for _ in range(300):
+            inputs = helpers.random_inputs(rng, fis, pad=0.5)
+            got = fn(*(inputs[n] for n in names))
+            if len(fis.outputs) == 1:
+                got = (got,)
+            res = infer(fis, inputs)
+            _, crisp, degen = helpers.mamdani_reference(fis, res.firing)
+            assert got == tuple(res.crisp.values()) == tuple(crisp.values()), \
+                (fis.name, inputs)
+            degenerate += len(degen)
+    assert degenerate > 0
+
+
+def _polyline_system(polylines):
+    """One input ``x`` whose terms are ``polylines``; rule k fires output
+    ``y`` with exactly the degree of term k (weight 1, a bare relation)."""
+    x = Variable("x", Domain(-10.0, 10.0),
+                 {f"p{k}": PiecewiseLinear(pts) for k, pts in enumerate(polylines)})
+    y = Variable("y", Domain(0.0, 1.0), {"u": Triangular(0.0, 0.5, 1.0)})
+    rules = tuple(Rule(Relation("x", t), (Relation("y", "u"),)) for t in x.terms)
+    return FuzzySystem("poly", SystemKind.MAMDANI, {"x": x}, {"y": y}, rules)
+
+
+def test_piecewise_linear_firing_equals_call():
+    # Compiled firing and generated antecedents (inline and helper forms)
+    # equal PiecewiseLinear.__call__ with ==: one, two and many nodes, flat
+    # and near-vertical segments, inputs on, beside, between and outside the
+    # nodes.  NaN still gives NaN everywhere.
+    rng = random.Random(120)
+    up = math.nextafter(1.0, 2.0)
+    polylines = [((2.0, 0.3),), ((-1.0, 0.0), (3.0, 1.0)), ((-1.0, 1.0), (3.0, 0.25)),
+                 ((0.5, 0.0), (1.0, 0.0), (up, 1.0), (4.0, 1.0))]
+    for _ in range(30):
+        xs = sorted(rng.sample(range(-900, 900), rng.randint(3, 12)))
+        ys, prev = [], rng.random()
+        for _ in xs:
+            prev = rng.random() if rng.random() < 0.5 else rng.choice((0.0, 1.0, prev))
+            ys.append(prev)
+        polylines.append(tuple((x / 97.0, y) for x, y in zip(xs, ys)))
+    with pytest.raises(ModelError, match="strictly increasing"):
+        PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (1.0, 0.5)))  # repeated x
+
+    fis = _polyline_system(polylines)
+    mfs = list(fis.inputs["x"].terms.values())
+    probes = [-math.inf, -10.0, 10.0, math.inf, 0.0, -0.0]
+    for pts in polylines:
+        nodes = [x for x, _ in pts]
+        for x in nodes:
+            probes += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        probes += [(x0 + x1) / 2 for x0, x1 in zip(nodes, nodes[1:])]
+        probes += [nodes[0] - 1.0, nodes[-1] + 1.0]
+    probes += [rng.uniform(-10.0, 10.0) for _ in range(200)]
+    inline = load(generate(fis, antecedents_only=True))
+    helper = load(generate(fis, antecedents_only=True, inline_mfs=False))
+    for v in probes:
+        want = tuple(mf(v) for mf in mfs)
+        for got in (tuple(fire_rules(fis, {"x": v})), inline(v), helper(v)):
+            assert got == want, (v, got, want)
+    for got in (fire_rules(fis, {"x": math.nan}), inline(math.nan), helper(math.nan),
+                tuple(mf(math.nan) for mf in mfs)):
+        assert all(math.isnan(g) for g in got)
+
+
 # ---------------------------------------------------------------------------
 # Emitted text
 
@@ -108,6 +235,10 @@ def test_single_rule_source_is_short_and_standalone():
         assert token not in src
     imports = [l for l in lines if l.startswith(("import", "from"))]
     assert all(re.match(r"from math import |import math", l) for l in imports)
+    # Sums are left folds: builtin sum compensates from Python 3.12 on and
+    # math.fsum rounds once, so either would break bitwise parity.
+    for fis in (_one_rule_system(), *(corpus.load_system(c) for c in ("tipper", "robot"))):
+        assert not re.search(r"(?<!\w)f?sum\(", generate(fis)), fis.name
 
 
 def test_math_import_names_exactly_what_the_body_calls():
