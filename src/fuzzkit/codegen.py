@@ -38,9 +38,11 @@ from .norms import Defuzzifier, Implication, SNorm
 _WIDTH = 88
 
 
-def _wrap(w: _emit.Writer, text: str) -> None:
+def _wrap(w: _emit.Writer, head: str, text: str) -> None:
+    # Breaks only inside ``text``: ``head`` starts the first line whole, so a
+    # break can never land outside a bracket that ``head`` opens.
     indent = "    " * w.level
-    for line in textwrap.wrap(text, width=_WIDTH, initial_indent=indent,
+    for line in textwrap.wrap(text, width=_WIDTH, initial_indent=indent + head,
                               subsequent_indent=indent + "    ",
                               break_long_words=False, break_on_hyphens=False):
         w.lines.append(line)
@@ -147,7 +149,7 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
     else:
         w.emit(f"# output {out_name}: grid of {resolution} points with "
                f"pre-sampled term curves (trimmed to their nonzero support)")
-        _wrap(w, f"_xs{o} = {tuple(lowering.grids[o].tolist())!r}")
+        _wrap(w, f"_xs{o} = ", repr(tuple(lowering.grids[o].tolist())))
         col_names, col_starts = {}, {}
         for k, t in enumerate(terms):
             col = lowering.curves[0, o, t].tolist()
@@ -157,7 +159,7 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
                 continue
             col_names[t] = f"_col{o}_{k}"
             col_starts[t] = live[0]
-            _wrap(w, f"{col_names[t]} = {tuple(col[live[0]:live[-1] + 1])!r}")
+            _wrap(w, f"{col_names[t]} = ", repr(tuple(col[live[0]:live[-1] + 1])))
 
     if grouped:
         strengths = {}
@@ -281,7 +283,8 @@ def _emit_run_centroid(w, implication, lowering, o, strengths) -> None:
     ``strengths`` pairs each reached term's strength local with its row, in
     declaration order.  The grid is split at generation time into maximal
     runs of points where the same terms are positive; each run gets one loop
-    (a run of one point, straight-line code), guarded by "some covering term
+    (a run of one point, straight-line code, which keeps the robot's source
+    smaller than a one-item loop would), guarded by "some covering term
     fired".  Skipped points would add aggregated degree 0.0 (a term that did
     not fire or is not positive there implicates to at most 0.0), and both
     sums start at 0.0, so skipping them leaves the left-to-right sums bit for
@@ -308,7 +311,7 @@ def _emit_run_centroid(w, implication, lowering, o, strengths) -> None:
             x, cs = "_x", [f"_c{i}" for i in range(len(run))]
             columns = ", ".join(repr(tuple(col[lo:j]))
                                 for col in (xs, *(cols[k][1] for k in run)))
-            _wrap(w, f"for _x, {', '.join(cs)} in zip({columns}):")
+            _wrap(w, f"for _x, {', '.join(cs)} in zip(", f"{columns}):")
             w.level += 1
         for i, (act, c) in enumerate(zip(acts, cs)):
             _implicate_lines(w, implication, act, c, "_w" if i else "_v")

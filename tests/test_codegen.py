@@ -133,6 +133,24 @@ def _run_pass_system(rng, implication):
                        tuple(rules), settings)
 
 
+def _crowded_system(rng, implication):
+    """One output of fifteen Gaussians, positive at every grid point, so one
+    run is covered by every term and its loop header outgrows a line; the
+    grid starts at 0.1 + 0.2, whose repr is long."""
+    a = Variable("a", Domain(0.0, 10.0),
+                 {f"t{k}": Triangular(0.7 * k - 1.0, 0.7 * k, 0.7 * k + 1.0)
+                  for k in range(15)})
+    y = Variable("y", Domain(0.1 + 0.2, 10.0),
+                 {f"g{k}": Gaussian(rng.uniform(0.0, 10.0), rng.uniform(1.0, 3.0))
+                  for k in range(15)})
+    rules = tuple(Rule(Relation("a", f"t{k}"), (Relation("y", f"g{k}"),),
+                       rng.uniform(0.2, 1.0)) for k in range(15))
+    settings = EngineSettings(implication=implication, aggregation=SNorm.MAX,
+                              defuzzifier=Defuzzifier.CENTROID)
+    return FuzzySystem("crowded", SystemKind.MAMDANI, {"a": a}, {"y": y}, rules,
+                       settings)
+
+
 @pytest.mark.parametrize("implication", list(Implication))
 def test_run_pass_matches_interpreter_bitwise(implication):
     # The one-pass loops of max aggregation with the centroid equal infer and
@@ -149,6 +167,8 @@ def test_run_pass_matches_interpreter_bitwise(implication):
         systems.append(FuzzySystem(base.name, base.kind, base.inputs, base.outputs,
                                    base.rules, settings))
     assert "_c2" in generate(systems[0])  # some run is covered by three terms
+    systems.append(_crowded_system(rng, implication))
+    assert "_c14" in generate(systems[-1])  # one run is covered by all fifteen
     degenerate = 0
     for fis in systems:
         fn = load(generate(fis))
