@@ -3,10 +3,12 @@
 Each system is lowered once (``_lower``, cached per system): the antecedent
 terms it uses, one consequent list over all outputs, the term curves of all
 outputs sampled once into one stacked matrix, and a compiled rule-firing
-function that type-1 and interval type-2 systems alike run.  Inference,
+function that type-1 and interval type-2 systems alike run; it also takes
+each input from the caller's dict through ``float()`` (``_fire``).  Inference,
 aggregation and ``codegen`` all read that one lowering.  The type-1 tree
 walk (``_fuzzify`` + ``_eval_table``) remains only behind
 ``eval_proposition``, the reference compiled firing is tested against.
+Result objects fill their ``__dict__`` at once, not field by field.
 
 One Mamdani call shapes the whole matrix by the rule activations, reduces it
 with the aggregation s-norm and defuzzifies every output.  Grid sums run
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,9 @@ class FiringVector:
     """Per-rule activation strengths, in rule declaration order."""
 
     activations: tuple[float, ...]
+
+    def __init__(self, activations):
+        self.__dict__["activations"] = activations
 
     def __len__(self) -> int:
         return len(self.activations)
@@ -58,6 +64,9 @@ class SampledCurve:
     xs: np.ndarray
     mus: np.ndarray
 
+    def __init__(self, xs, mus):
+        self.__dict__.update(xs=xs, mus=mus)
+
 
 @dataclass(frozen=True, eq=False)
 class CurveBand:
@@ -65,6 +74,9 @@ class CurveBand:
 
     lower: SampledCurve
     upper: SampledCurve
+
+    def __init__(self, lower, upper):
+        self.__dict__.update(lower=lower, upper=upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +97,11 @@ class InferenceResult:
     degenerate: tuple[str, ...] = ()
     intervals: dict | None = None
     firing_intervals: tuple | None = None
+
+    def __init__(self, crisp, firing, aggregated, degenerate=(), intervals=None,
+                 firing_intervals=None):
+        self.__dict__.update(crisp=crisp, firing=firing, aggregated=aggregated, degenerate=degenerate,
+                             intervals=intervals, firing_intervals=firing_intervals)
 
 
 def _input_values(fis: FuzzySystem, inputs) -> dict:
@@ -161,8 +178,8 @@ class _Lowering:
     it) and one ``(bands, outputs, width, resolution)`` term-curve matrix
     ``curves``, all read-only: one band for type-1, lower and upper for IT2,
     zero rows padding outputs with fewer terms.  ``fire`` (rule activations,
-    ``(lower, upper)`` pairs for IT2, from a dict of input values) compiles
-    on first use (``_fire_fn``), so code generation alone never compiles it.
+    ``(lower, upper)`` pairs for IT2, from a dict of inputs) compiles on
+    first use (``_fire``), so code generation alone never compiles it.
     """
 
     relations: tuple
@@ -174,8 +191,8 @@ class _Lowering:
     fire: object = None
 
 
-def _compile_fire(fis: FuzzySystem, relations):
-    """Specialize rule firing for one system into a compiled function.
+def _compile_fire(fis: FuzzySystem):
+    """Specialize rule firing for one system into its lowering's ``fire``.
 
     The emitted statements perform exactly the operations of ``_fuzzify`` +
     ``_eval_table`` (same scalar formulas, same order), so the compiled path
@@ -189,12 +206,14 @@ def _compile_fire(fis: FuzzySystem, relations):
     args = {}
     for i, name in enumerate(fis.inputs):
         args[name] = f"_x{i}"
-        w.emit(f"_x{i} = _values[{name!r}]")
-    acts = _emit.emit_antecedents(w, fis, relations, args)
+        w.emit(f"_x{i} = _float(_values[{name!r}])")
+    lowering = _lower(fis)
+    acts = _emit.emit_antecedents(w, fis, lowering.relations, args)
     w.emit(f"return ({', '.join(acts)}{',' if len(acts) == 1 else ''})")
-    ns = {"exp": math.exp, "log": math.log, "abs": abs, "__builtins__": {}}
+    ns = {"exp": math.exp, "log": math.log, "abs": abs, "_float": float, "__builtins__": {}}
     exec(compile(w.text(), "<rule firing>", "exec"), ns)
-    return ns["_fire"]
+    lowering.fire = ns["_fire"]
+    return lowering.fire
 
 
 def _lower(fis: FuzzySystem) -> _Lowering:
@@ -228,25 +247,31 @@ def _lower(fis: FuzzySystem) -> _Lowering:
     return lowering
 
 
-def _fire_fn(fis: FuzzySystem):
-    lowering = _lower(fis)
-    if lowering.fire is None:
-        lowering.fire = _compile_fire(fis, lowering.relations)
-    return lowering.fire
+def _fire(fis: FuzzySystem, inputs, interval: bool = False) -> tuple:
+    """Rule activations.  The compiled firing converts a plain dict's inputs in
+    ``_input_values``' order; a missing one gets ``_input_values``' own error."""
+    if (fis.kind is SystemKind.MAMDANI_IT2) is not interval:
+        raise EvaluationError("fire_rules_interval requires an interval type-2 system" if interval
+                              else "interval type-2 rules fire over intervals; use infer()")
+    fire = _lower(fis).fire or _compile_fire(fis)
+    if type(inputs) is not dict:  # a defaultdict's ``in`` disagrees with ``[]``
+        return fire(_input_values(fis, inputs))
+    try:
+        return fire(inputs)
+    except KeyError as exc:
+        error = exc
+    _input_values(fis, inputs)
+    raise error
 
 
 def fire_rules(fis: FuzzySystem, inputs) -> FiringVector:
     """Activation of every rule: weight times antecedent truth degree."""
-    if fis.kind is SystemKind.MAMDANI_IT2:
-        raise EvaluationError("interval type-2 rules fire over intervals; use infer()")
-    return FiringVector(_fire_fn(fis)(_input_values(fis, inputs)))
+    return FiringVector(_fire(fis, inputs))
 
 
 def fire_rules_interval(fis: FuzzySystem, inputs) -> tuple[tuple[float, float], ...]:
     """Interval activations [lower, upper] of every rule of a type-2 system."""
-    if fis.kind is not SystemKind.MAMDANI_IT2:
-        raise EvaluationError("fire_rules_interval requires an interval type-2 system")
-    return _fire_fn(fis)(_input_values(fis, inputs))
+    return _fire(fis, inputs, interval=True)
 
 
 def _aggregate(fis: FuzzySystem, bands) -> np.ndarray:
@@ -333,7 +358,7 @@ def infer_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
     """Full Mamdani pipeline: fire, implicate, aggregate, defuzzify."""
     if fis.kind is not SystemKind.MAMDANI:
         raise EvaluationError(f"infer_mamdani requires a Mamdani system, got {fis.kind.value}")
-    firing = fire_rules(fis, inputs)
+    firing = FiringVector(_fire(fis, inputs))
     lowering = _lower(fis)
     agg = _aggregate(fis, (firing.activations,))[0]
     kind = fis.settings.defuzzifier
@@ -353,8 +378,7 @@ def infer_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
             crisp[name] = num / mass
         else:
             crisp[name] = defuzzify(kind, xs, mus)
-    return InferenceResult(crisp=crisp, firing=firing, aggregated=aggregated,
-                           degenerate=tuple(degenerate))
+    return InferenceResult(crisp, firing, aggregated, tuple(degenerate))
 
 
 def _sugeno_value(consequent, values: dict) -> float:
@@ -372,7 +396,7 @@ def infer_sugeno(fis: FuzzySystem, inputs) -> InferenceResult:
     if fis.kind is not SystemKind.SUGENO:
         raise EvaluationError(f"infer_sugeno requires a Sugeno system, got {fis.kind.value}")
     values = _input_values(fis, inputs)
-    activations = _fire_fn(fis)(values)
+    activations = _fire(fis, values)
     crisp, degenerate = {}, []
     for (name, var), consequents in zip(fis.outputs.items(), _lower(fis).by_output):
         terms = tuple(var.terms.values())
@@ -386,17 +410,16 @@ def infer_sugeno(fis: FuzzySystem, inputs) -> InferenceResult:
             degenerate.append(name)
         else:
             crisp[name] = num / den
-    return InferenceResult(crisp=crisp, firing=FiringVector(activations),
-                           aggregated=None, degenerate=tuple(degenerate))
+    return InferenceResult(crisp, FiringVector(activations), None, tuple(degenerate))
 
 
-def _km_bounds(xs, lower, upper) -> tuple[float, float]:
-    """``km_reduce`` on a band that already meets its input contract."""
+def _km_bounds(xs, lower, upper, mass) -> tuple[float, float]:
+    """``km_reduce`` on a band meeting its input contract, of half-band ``mass``."""
     n = len(xs)
     if n == 1:
         x = float(xs[0])
         return (x, x)
-    if np.add.reduce(0.5 * (lower + upper)) <= 0.0:
+    if mass <= 0.0:
         mid = 0.5 * (float(xs[0]) + float(xs[-1]))
         return (mid, mid)
     # Switch point k = -1..n-1 is column i = k + 1: the left bound's curve
@@ -481,7 +504,7 @@ def km_reduce(xs, lower, upper) -> tuple[float, float]:
             and (lower <= upper).all()):
         raise EvaluationError(
             "km_reduce needs finite memberships with 0 <= lower <= upper")
-    return _km_bounds(xs, lower, upper)
+    return _km_bounds(xs, lower, upper, np.add.reduce(0.5 * (lower + upper)))
 
 
 def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
@@ -492,22 +515,21 @@ def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
     if fis.kind is not SystemKind.MAMDANI_IT2:
         raise EvaluationError(
             f"infer_it2_mamdani requires an interval type-2 system, got {fis.kind.value}")
-    acts = fire_rules_interval(fis, inputs)
+    acts = _fire(fis, inputs, interval=True)
     lowers, uppers = _aggregate(fis, tuple(zip(*acts)))  # lower and upper activations
     crisp, aggregated, intervals, degenerate = {}, {}, {}, []
-    for (name, var), xs, lower, upper, mass in zip(fis.outputs.items(), _lower(fis).grids,
-                                                   lowers, uppers, uppers.any(axis=-1).tolist()):
+    for (name, var), xs, lower, upper in zip(fis.outputs.items(), _lower(fis).grids,
+                                             lowers, uppers):
         aggregated[name] = CurveBand(SampledCurve(xs, lower), SampledCurve(xs, upper))
-        if mass:
-            y_left, y_right = intervals[name] = _km_bounds(xs, lower, upper)
+        mass = np.add.reduce(0.5 * (lower + upper))
+        if mass > 0.0 or upper.any():  # as lower <= upper, mass > 0 implies upper.any()
+            y_left, y_right = intervals[name] = _km_bounds(xs, lower, upper, mass)
             crisp[name] = 0.5 * (y_left + y_right)
         else:
             crisp[name] = value = _zero_fire_value(fis, name, var)
             intervals[name] = (value, value)
             degenerate.append(name)
-    return InferenceResult(crisp=crisp, firing=None, aggregated=aggregated,
-                           degenerate=tuple(degenerate), intervals=intervals,
-                           firing_intervals=acts)
+    return InferenceResult(crisp, None, aggregated, tuple(degenerate), intervals, acts)
 
 
 def infer(fis: FuzzySystem, inputs) -> InferenceResult:
@@ -533,8 +555,7 @@ def grouped_max_output(fis: FuzzySystem, inputs, gray_levels: int,
     """
     if gray_levels < 2:
         raise EvaluationError(f"gray_levels must be at least 2, got {gray_levels}")
-    first = tuple(first_rules)
-    second = tuple(second_rules)
+    first, second = tuple(first_rules), tuple(second_rules)
     if not first or not second:
         raise EvaluationError("both rule groups must be nonempty")
     n = len(fis.rules)
@@ -543,19 +564,19 @@ def grouped_max_output(fis: FuzzySystem, inputs, gray_levels: int,
             raise EvaluationError(f"rule index {idx} out of range for {n} rules")
     if set(first) & set(second):
         raise EvaluationError("rule groups must be disjoint")
-    return _grouped_max(fire_rules(fis, inputs).activations, gray_levels,
-                        first, second)
+    picked = operator.itemgetter(*first, *second)(_fire(fis, inputs))
+    return _grouped_max(picked, gray_levels, slice(0, len(first)), slice(len(first), None))
 
 
-def _grouped_max(acts, gray_levels: int, first, second) -> float:
-    """The readout arithmetic of ``grouped_max_output`` over activations."""
-    l1 = max(acts[i] for i in first)
-    l2 = max(acts[i] for i in second)
+def _grouped_max(acts, gray_levels: int, first: slice, second: slice) -> float:
+    """The readout arithmetic of ``grouped_max_output`` over two activation slices."""
+    l1 = max(acts[first])
+    l2 = max(acts[second])
     l0 = max(0.0, 1.0 - l1 - l2)
     return (gray_levels - 1) * (l1 - l2) / (l1 + l2 + l0)
 
 
-_DENOISE_GROUPS = (range(0, 13), range(13, 26))
+_DENOISE_GROUPS = (slice(0, 13), slice(13, 26))
 
 
 def denoise_detector(fis: FuzzySystem, inputs, gray_levels: int = 256) -> float:
@@ -565,4 +586,4 @@ def denoise_detector(fis: FuzzySystem, inputs, gray_levels: int = 256) -> float:
         raise EvaluationError(f"denoise detector expects exactly 26 rules, got {len(fis.rules)}")
     if gray_levels < 2:
         raise EvaluationError(f"gray_levels must be at least 2, got {gray_levels}")
-    return _grouped_max(fire_rules(fis, inputs).activations, gray_levels, *_DENOISE_GROUPS)
+    return _grouped_max(_fire(fis, inputs), gray_levels, *_DENOISE_GROUPS)

@@ -1,5 +1,6 @@
 """Inference pipeline behaviour checked against independent oracles."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -408,3 +409,269 @@ def test_grouped_max_output_validation(tipper):
 def test_denoise_detector_requires_26_rules(tipper):
     with pytest.raises(EvaluationError):
         engine.denoise_detector(tipper, {"service": 5.0, "food": 5.0})
+
+
+# ---------------------------------------------------------------------------
+# Input handling, the same on every entry point.  Type-1 Mamdani, IT2 and the
+# readouts convert inputs inside the compiled firing; Sugeno converts first.
+
+def _two_input_sugeno():
+    terms = {"lo": Triangular(0, 0, 10), "hi": Triangular(0, 10, 10)}
+    inputs = {n: Variable(n, Domain(0, 10), terms) for n in ("x", "z")}
+    y = Variable("y", Domain(-50, 50), {"c": SugenoConstant(3.0),
+                                        "lin": SugenoLinear((("x", 2.0), ("z", -1.5)), 0.5)})
+    return FuzzySystem("s2", SystemKind.SUGENO, inputs, {"y": y},
+                       (Rule(And(Relation("x", "lo"), Relation("z", "hi")), (Relation("y", "c"),)),
+                        Rule(Relation("x", "hi"), (Relation("y", "lin"),), 0.8)))
+
+
+def _entry_points():
+    tipper = corpus.load_system("tipper")
+    it2 = corpus.load_system("tipper_it2")
+    return {
+        "fire_rules": (tipper, fire_rules),
+        "fire_rules_interval": (it2, engine.fire_rules_interval),
+        "denoise_detector": (corpus.load_system("denoise"), engine.denoise_detector),
+        "grouped_max_output": (tipper, lambda fis, d: grouped_max_output(fis, d, 9, [2, 0], [1])),
+        "infer_mamdani": (tipper, infer),
+        "infer_it2": (it2, infer),
+        "infer_sugeno": (_two_input_sugeno(), infer),
+    }
+
+
+ENTRY_POINTS = sorted(_entry_points())
+
+
+def _outcome(value):
+    """Comparable form of an entry point's result (InferenceResult compares by
+    identity)."""
+    if not isinstance(value, engine.InferenceResult):
+        return value
+    curves = {}
+    for name, curve in (value.aggregated or {}).items():
+        parts = (curve.lower, curve.upper) if isinstance(curve, engine.CurveBand) else (curve,)
+        curves[name] = tuple((c.xs.tobytes(), c.mus.tobytes()) for c in parts)
+    return (value.crisp, value.firing, curves, value.degenerate, value.intervals,
+            value.firing_intervals)
+
+
+def _integral_inputs(fis):
+    return {name: float(round(0.3 * var.domain.low + 0.7 * var.domain.high))
+            for name, var in fis.inputs.items()}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_missing_input_names_first_absent_in_declaration_order(entry):
+    fis, call = _entry_points()[entry]
+    names = list(fis.inputs)
+    full = _integral_inputs(fis)
+    for absent in ([names[-1]], [names[-1], names[0]], names):
+        inputs = {k: v for k, v in full.items() if k not in absent}
+        with pytest.raises(MissingInputError) as exc:
+            call(fis, inputs)
+        first = next(n for n in names if n in absent)
+        assert str(exc.value) == f"missing input: {first}"
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_unconvertible_inputs_raise_float_errors_in_declaration_order(entry):
+    fis, call = _entry_points()[entry]
+    names = list(fis.inputs)
+    full = _integral_inputs(fis)
+    none_msg = "float() argument must be a string or a real number, not 'NoneType'"
+    cases = [
+        ({**full, names[-1]: None}, TypeError, none_msg),
+        # The first input fails conversion before a later one is found missing,
+        # and a missing first input is reported before a later None.
+        ({names[0]: None}, TypeError, none_msg),
+        ({k: None for k in names[1:]}, MissingInputError, f"missing input: {names[0]}"),
+        ({**full, names[0]: "abc"}, ValueError, "could not convert string to float: 'abc'"),
+        ({**full, names[0]: 1j}, TypeError,
+         "float() argument must be a string or a real number, not 'complex'"),
+    ]
+    for inputs, kind, message in cases:
+        with pytest.raises(kind) as exc:
+            call(fis, inputs)
+        assert type(exc.value) is kind and str(exc.value) == message, inputs
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_numeric_like_inputs_match_float_inputs(entry):
+    fis, call = _entry_points()[entry]
+    full = _integral_inputs(fis)
+    want = _outcome(call(fis, full))
+    for convert in (lambda v: str(int(v)), int, np.float32, np.float64, bool):
+        inputs = {k: convert(v) for k, v in full.items()}
+        assert _outcome(call(fis, inputs)) == _outcome(call(fis, {k: float(v) for k, v in
+                                                                  inputs.items()}))
+        if convert is not bool:
+            assert _outcome(call(fis, inputs)) == want, convert
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_non_dict_inputs_and_lenient_mappings_raise_input_errors(entry):
+    fis, call = _entry_points()[entry]
+    names = list(fis.inputs)
+    full = _integral_inputs(fis)
+    missing = {k: v for k, v in full.items() if k != names[0]}
+    cases = [
+        (list(full.values()), MissingInputError, f"missing input: {names[0]}"),
+        (tuple(full.items()), MissingInputError, f"missing input: {names[0]}"),
+        (None, TypeError, "argument of type 'NoneType' is not iterable"),
+        ("".join(names), TypeError, "string indices must be integers, not 'str'"),
+        # Mappings whose ``[]`` fills a missing key still report it missing.
+        (collections.defaultdict(float, missing), MissingInputError,
+         f"missing input: {names[0]}"),
+        (collections.Counter(missing), MissingInputError, f"missing input: {names[0]}"),
+    ]
+    for inputs, kind, message in cases:
+        with pytest.raises(kind) as exc:
+            call(fis, inputs)
+        assert type(exc.value) is kind and str(exc.value) == message, inputs
+    ordered = collections.OrderedDict(reversed(list(full.items())))
+    assert _outcome(call(fis, ordered)) == _outcome(call(fis, full))
+    assert _outcome(call(fis, {**full, "unknown": "ignored"})) == _outcome(call(fis, full))
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, KeyError])
+def test_firing_errors_propagate_from_the_one_call(monkeypatch, error):
+    # An error raised inside firing itself, with every input present and
+    # convertible, propagates as it was raised, from the one firing call.
+    fis = _two_input_sugeno()
+    calls = []
+
+    def fire(values):  # reads its inputs as the compiled firing does, then fails
+        calls.append([float(values[name]) for name in fis.inputs])
+        raise error(f"firing call {len(calls)}")
+
+    monkeypatch.setattr(engine._lower(fis), "fire", fire)
+    for call in (fire_rules, infer):
+        calls.clear()
+        with pytest.raises(error) as exc:
+            call(fis, {"x": 1.0, "z": 2.0})
+        assert exc.value.args == ("firing call 1",) and len(calls) == 1
+    with pytest.raises(MissingInputError):
+        fire_rules(fis, {"x": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# Readout and result packaging
+
+def _same(a, b):
+    return a == b or (a != a and b != b)
+
+
+def _generator_readout(acts, gray_levels, first, second):
+    # The readout as written out over index iterables.
+    l1 = max(acts[i] for i in first)
+    l2 = max(acts[i] for i in second)
+    l0 = max(0.0, 1.0 - l1 - l2)
+    return (gray_levels - 1) * (l1 - l2) / (l1 + l2 + l0)
+
+
+def _one_rule_per_input_system(n):
+    # Rule i fires with the Gaussian membership of input i alone, so a NaN
+    # input puts a NaN activation at exactly position i.
+    inputs = {f"x{i}": Variable(f"x{i}", Domain(0, 10), {"g": Gaussian(5.0, 2.0)})
+              for i in range(n)}
+    y = Variable("y", Domain(0, 1), {"t": Triangular(0, 0.5, 1)})
+    rules = tuple(Rule(Relation(f"x{i}", "g"), (Relation("y", "t"),)) for i in range(n))
+    return FuzzySystem("per_input", SystemKind.MAMDANI, inputs, {"y": y}, rules)
+
+
+def test_grouped_max_output_matches_generator_readout():
+    n = 6
+    fis = _one_rule_per_input_system(n)
+    groups = [
+        (range(0, 3), range(3, 6)),       # contiguous
+        ([4, 0, 2], [5, 1]),              # non-contiguous, out of order
+        ([3], [1]),                       # one element each
+        ([0], [5, 4, 3, 2, 1]),
+        ([1, 3, 5], [0]),
+    ]
+    rng = random.Random(17)
+    for trial in range(40):
+        inputs = {f"x{i}": rng.uniform(0, 10) for i in range(n)}
+        nan_at = trial % (n + 1)  # every position, and none
+        if nan_at < n:
+            inputs[f"x{nan_at}"] = math.nan
+        acts = fire_rules(fis, inputs).activations
+        assert (nan_at == n) or math.isnan(acts[nan_at])
+        for first, second in groups:
+            for levels in (2, 256):
+                got = grouped_max_output(fis, inputs, levels, first, second)
+                assert _same(got, _generator_readout(acts, levels, first, second))
+
+
+def test_denoise_detector_matches_generator_readout():
+    fis = corpus.load_system("denoise")
+    rng = random.Random(3)
+    names = list(fis.inputs)
+    for trial in range(60):
+        inputs = {k: float(rng.randint(-255, 255)) for k in names}
+        if trial % 3 == 0:
+            inputs[names[trial % len(names)]] = math.nan
+        acts = fire_rules(fis, inputs).activations
+        want = _generator_readout(acts, 256, range(0, 13), range(13, 26))
+        assert _same(engine.denoise_detector(fis, inputs), want)
+        assert _same(grouped_max_output(fis, inputs, 256, range(0, 13), range(13, 26)), want)
+
+
+def _result_objects():
+    tipper = corpus.load_system("tipper")
+    res = infer(tipper, {"service": 3.0, "food": 8.0})
+    band = infer(corpus.load_system("tipper_it2"), {"service": 3.0, "food": 8.0})
+    return [res, res.firing, res.aggregated["tip"], band.aggregated["tip"]]
+
+
+def test_result_objects_are_frozen_dataclasses():
+    for obj in _result_objects():
+        assert dataclasses.is_dataclass(obj)
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, f.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.extra = 1
+        assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)]
+
+
+def test_result_objects_fields_replace_and_repr():
+    res, firing, curve, band = _result_objects()
+    assert [f.name for f in dataclasses.fields(engine.InferenceResult)] == [
+        "crisp", "firing", "aggregated", "degenerate", "intervals", "firing_intervals"]
+    assert [f.name for f in dataclasses.fields(engine.SampledCurve)] == ["xs", "mus"]
+    assert [f.name for f in dataclasses.fields(engine.CurveBand)] == ["lower", "upper"]
+    assert [f.name for f in dataclasses.fields(engine.FiringVector)] == ["activations"]
+    bare = engine.InferenceResult({"y": 1.0}, None, None)
+    assert (bare.degenerate, bare.intervals, bare.firing_intervals) == ((), None, None)
+    assert repr(bare) == ("InferenceResult(crisp={'y': 1.0}, firing=None, aggregated=None, "
+                          "degenerate=(), intervals=None, firing_intervals=None)")
+    assert repr(engine.FiringVector((0.5, 1.0))) == "FiringVector(activations=(0.5, 1.0))"
+    assert repr(engine.SampledCurve(1, 2)) == "SampledCurve(xs=1, mus=2)"
+    assert repr(engine.CurveBand(1, 2)) == "CurveBand(lower=1, upper=2)"
+    moved = dataclasses.replace(res, degenerate=("tip",))
+    assert moved is not res and moved.degenerate == ("tip",)
+    assert (moved.crisp, moved.firing, moved.aggregated) == (res.crisp, res.firing,
+                                                             res.aggregated)
+    assert dataclasses.replace(curve, mus=curve.xs).mus is curve.xs
+    assert dataclasses.replace(band, upper=band.lower).upper is band.lower
+    assert dataclasses.replace(firing).activations == firing.activations
+    with pytest.raises(TypeError):
+        engine.SampledCurve(curve.xs)
+    with pytest.raises(TypeError):
+        engine.InferenceResult({}, None, None, (), None, None, None)
+
+
+def test_result_equality_and_hashing():
+    a = engine.FiringVector((0.25, 0.5))
+    b = engine.FiringVector((0.25, 0.5))
+    assert a == b and hash(a) == hash(b) == hash(((0.25, 0.5),))
+    assert a != engine.FiringVector((0.5, 0.25))
+    assert (a == (0.25, 0.5)) is False
+    res, _, curve, band = _result_objects()
+    for obj in (res, curve, band):  # identity equality and hashing
+        twin = dataclasses.replace(obj)
+        assert obj == obj and obj != twin
+        assert hash(obj) == object.__hash__(obj)

@@ -218,6 +218,31 @@ def test_it2_zero_fire_default():
     assert res.degenerate == ("y",)
 
 
+def test_it2_subnormal_band_is_not_degenerate():
+    # Weight 5e-324 fires the upper bound (membership 0.6) at the smallest
+    # subnormal and the lower one (0.2) at zero, so the aggregated band is
+    # 0 below and 0 or 5e-324 above.  Its half-band mass rounds to zero, but
+    # the band is not empty: type reduction yields the grid midpoint, as
+    # km_oracle does, and the output is not degenerate.
+    a = Variable("a", Domain(0, 10),
+                 {"band": IntervalMF(Triangular(4, 5, 6), Triangular(3, 5, 7))})
+    y = Variable("y", Domain(0, 8),
+                 {"t": IntervalMF(Triangular(1, 4, 7), Triangular(0, 4, 8))})
+    for implication in Implication:
+        fis = FuzzySystem("sub", SystemKind.MAMDANI_IT2, {"a": a}, {"y": y},
+                          (Rule(Relation("a", "band"), (Relation("y", "t"),), 5e-324),),
+                          EngineSettings(implication=implication))
+        res = infer_it2_mamdani(fis, {"a": 4.2})
+        assert res.firing_intervals == ((0.0, 5e-324),)
+        band = res.aggregated["y"]
+        assert not band.lower.mus.any() and band.upper.mus.any()
+        assert set(band.upper.mus.tolist()) == {0.0, 5e-324}
+        assert res.intervals["y"] == helpers.km_oracle(band.lower.xs, band.lower.mus,
+                                                       band.upper.mus) == (4.0, 4.0)
+        assert res.crisp["y"] == 4.0
+        assert res.degenerate == ()
+
+
 def test_it2_matches_plain_float_reference():
     # Both aggregated bands against the plain-float reference, the interval
     # against the exhaustive oracle on the reference bands; inputs run past
