@@ -10,9 +10,11 @@ output grids at generation time.
 Under max aggregation with the centroid defuzzifier, each Mamdani output is
 aggregated and summed in one pass: the grid is split at generation time into
 maximal runs of points covered by the same positive term columns, and each
-run is one loop over literal slices of the grid and those columns, entered
-only when one of its terms fired.  Other operator choices fill a list of
-aggregated degrees over each fired term's support, then defuzzify it.
+run, entered only when one of its terms fired, is one call to a nested
+helper over a literal tuple of ``(x, column values...)`` points.  There is
+one helper per run width; it walks the points once, in a loop of its own
+when only one of the run's terms fired.  Other operator choices fill a list
+of aggregated degrees over each fired term's support, then defuzzify it.
 
 Generated functions reproduce the interpreter bit for bit: the antecedent
 prologue is the one ``_emit.emit_antecedents`` writes for the engine's
@@ -26,7 +28,6 @@ plain left folds, never ``sum`` or ``math.fsum``, which round differently.
 from __future__ import annotations
 
 import itertools
-import textwrap
 import types
 
 from . import _emit
@@ -39,13 +40,21 @@ _WIDTH = 88
 
 
 def _wrap(w: _emit.Writer, head: str, text: str) -> None:
-    # Breaks only inside ``text``: ``head`` starts the first line whole, so a
-    # break can never land outside a bracket that ``head`` opens.
+    # Greedy fill at _WIDTH columns, breaking only at the spaces of ``text``
+    # (what textwrap.wrap gives for these literals, at a fraction of its
+    # cost).  ``head`` starts the first line whole, so a break can never land
+    # outside a bracket that ``head`` opens; a word longer than a line stays
+    # whole on its own line.
     indent = "    " * w.level
-    for line in textwrap.wrap(text, width=_WIDTH, initial_indent=indent + head,
-                              subsequent_indent=indent + "    ",
-                              break_long_words=False, break_on_hyphens=False):
-        w.lines.append(line)
+    words = text.split(" ")
+    line = indent + head + words[0]
+    for word in words[1:]:
+        if len(line) + 1 + len(word) <= _WIDTH:
+            line += " " + word
+        else:
+            w.lines.append(line)
+            line = indent + "    " + word
+    w.lines.append(line)
 
 
 def _implicate_lines(w: _emit.Writer, kind: Implication, act: str, curve: str,
@@ -91,6 +100,7 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
         w.emit(f'"""Rule activation vector of {fis.name!r} for ({ins})."""')
     else:
         w.emit(f'"""Map ({ins}) to ({outs}) by fuzzy inference ({fis.name!r})."""')
+    helpers_at, run_widths = len(w.lines), set()
     acts = _emit.emit_antecedents(w, fis, lowering.relations, params, inline_mfs)
 
     if antecedents_only:
@@ -104,9 +114,16 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
             if fis.kind is SystemKind.SUGENO:
                 _emit_sugeno_output(w, fis, out_name, var, o, local, cons, params)
             else:
-                _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons)
+                _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons,
+                                     run_widths)
         w.emit(f"return ({', '.join(results)})" if len(results) > 1
                else f"return {results[0]}")
+    if run_widths:
+        hw = _emit.Writer()
+        hw.level = 1
+        for k in sorted(run_widths):
+            _emit_run_helper(hw, fis.settings.implication, k)
+        w.lines[helpers_at:helpers_at] = hw.lines
     if w.uses:
         w.lines[:0] = [f"from math import {', '.join(sorted(w.uses))}", "", ""]
     return w.text()
@@ -128,9 +145,10 @@ def _emit_sugeno_output(w, fis, out_name, var, o, local, cons, params) -> None:
     w.emit(f"{local} = {num} / {den} if {den} > 0.0 else {zero}")
 
 
-def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> None:
+def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons,
+                         run_widths) -> None:
     # cons: (activation expression, term row) per consequent of out_name,
-    # in rule order.
+    # in rule order; run_widths collects the run helpers the centroid pass calls.
     settings = fis.settings
     resolution = settings.resolution
     grouped = settings.aggregation is SNorm.MAX
@@ -175,7 +193,7 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
     zero = _emit.lit(_zero_fire_value(fis, out_name, var))
     if fused:
         _emit_run_centroid(w, settings.implication, lowering, o,
-                           [(strengths[t], t) for t in terms])
+                           [(strengths[t], t) for t in terms], run_widths)
         w.emit(f"{local} = _num{o} / _den{o} if _den{o} > 0.0 else {zero}")
         return
 
@@ -277,18 +295,20 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons) -> Non
     w.level -= 1
 
 
-def _emit_run_centroid(w, implication, lowering, o, strengths) -> None:
+def _emit_run_centroid(w, implication, lowering, o, strengths, run_widths) -> None:
     """Max-aggregate and sum the centroid of output ``o`` in one pass.
 
     ``strengths`` pairs each reached term's strength local with its row, in
     declaration order.  The grid is split at generation time into maximal
-    runs of points where the same terms are positive; each run gets one loop
-    (a run of one point, straight-line code, which keeps the robot's source
-    smaller than a one-item loop would), guarded by "some covering term
-    fired".  Skipped points would add aggregated degree 0.0 (a term that did
-    not fire or is not positive there implicates to at most 0.0), and both
-    sums start at 0.0, so skipping them leaves the left-to-right sums bit for
-    bit unchanged.
+    runs of points where the same terms are positive; each run is guarded by
+    "some covering term fired" and walked by one call to the nested helper
+    for its width (``_emit_run_helper``, whose width is added to
+    ``run_widths``) over a literal tuple of ``(x, column values...)`` points.
+    A run of one point is straight-line code instead, which keeps the
+    robot's source smaller than a one-item call would.  Skipped points would
+    add aggregated degree 0.0 (a term that did not fire or is not positive
+    there implicates to at most 0.0), and both sums start at 0.0, so
+    skipping them leaves the left-to-right sums bit for bit unchanged.
     """
     xs = lowering.grids[o].tolist()
     cols = [(s, lowering.curves[0, o, t].tolist()) for s, t in strengths]
@@ -304,22 +324,64 @@ def _emit_run_centroid(w, implication, lowering, o, strengths) -> None:
         acts = [cols[k][0] for k in run]
         w.emit(f"if {' or '.join(acts)}:")  # strengths are never negative or NaN
         w.level += 1
-        single = j - lo == 1
-        if single:
-            x, cs = _emit.lit(xs[lo]), [_emit.lit(cols[k][1][lo]) for k in run]
+        if j - lo > 1:
+            run_widths.add(len(run))
+            pts = repr(tuple(zip(xs[lo:j], *(cols[k][1][lo:j] for k in run))))
+            _wrap(w, f"_den{o}, _num{o} = _run{len(run)}(",
+                  f"{pts}, {', '.join(acts)}, _den{o}, _num{o})")
         else:
-            x, cs = "_x", [f"_c{i}" for i in range(len(run))]
-            columns = ", ".join(repr(tuple(col[lo:j]))
-                                for col in (xs, *(cols[k][1] for k in run)))
-            _wrap(w, f"for _x, {', '.join(cs)} in zip(", f"{columns}):")
-            w.level += 1
-        for i, (act, c) in enumerate(zip(acts, cs)):
-            _implicate_lines(w, implication, act, c, "_w" if i else "_v")
-            if i:
+            x = _emit.lit(xs[lo])
+            for i, k in enumerate(run):
+                _implicate_lines(w, implication, acts[i], _emit.lit(cols[k][1][lo]),
+                                 "_w" if i else "_v")
+                if i:
+                    w.emit("_v = _w if _w > _v else _v")
+            w.emit(f"_den{o} += _v")
+            w.emit(f"_num{o} += {x} * _v")
+        w.level -= 1
+
+
+def _emit_run_helper(w, implication, k) -> None:
+    """Nested helper ``_run{k}(points, s_0, ..., s_{k-1}, den, num)`` that adds
+    the implicated, max-combined degrees of a run covered by ``k`` terms to
+    the centroid sums and returns ``(den, num)``.
+
+    When only term ``i`` fired, its own loop implicates column ``i`` alone:
+    every other term implicates to 0.0 (under MIN and PROD alike) and
+    ``max(v, 0.0)`` is ``v`` for ``v >= 0``, so the sums get the same bits the
+    general loop would add.
+    """
+    ss = [f"_s{i}" for i in range(k)]
+    head = f"for _x, {', '.join(f'_c{i}' for i in range(k))} in _pts:"
+
+    def loop(terms):
+        w.emit(head)
+        w.level += 1
+        for n, i in enumerate(terms):
+            _implicate_lines(w, implication, ss[i], f"_c{i}", "_w" if n else "_v")
+            if n:
                 w.emit("_v = _w if _w > _v else _v")
-        w.emit(f"_den{o} += _v")
-        w.emit(f"_num{o} += {x} * _v")
-        w.level -= 1 if single else 2
+        w.emit("_den += _v")
+        w.emit("_num += _x * _v")
+        w.level -= 1
+
+    w.emit(f"def _run{k}(_pts, {', '.join(ss)}, _den, _num):")
+    w.level += 1
+    if k == 1:
+        loop([0])
+    else:
+        for i in range(k):
+            others = " or ".join(ss[:i] + ss[i + 1:])
+            w.emit(f"{'elif' if i else 'if'} not {others if k == 2 else f'({others})'}:")
+            w.level += 1
+            loop([i])
+            w.level -= 1
+        w.emit("else:")
+        w.level += 1
+        loop(range(k))
+        w.level -= 1
+    w.emit("return _den, _num")
+    w.level -= 1
 
 
 def load(source: str):

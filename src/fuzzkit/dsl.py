@@ -114,6 +114,10 @@ class Token:
     value: float | None = None
     is_int: bool = False
 
+    def __init__(self, kind, text, line, column, value=None, is_int=False):
+        self.__dict__.update(kind=kind, text=text, line=line, column=column,
+                             value=value, is_int=is_int)
+
 
 def _lex(text: str, origin: str) -> list[Token]:
     tokens: list[Token] = []

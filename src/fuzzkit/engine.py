@@ -560,6 +560,8 @@ def grouped_max_output(fis: FuzzySystem, inputs, gray_levels: int,
         raise EvaluationError("both rule groups must be nonempty")
     n = len(fis.rules)
     for idx in (*first, *second):
+        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+            raise EvaluationError(f"rule index {idx!r} is not an integer")
         if not 0 <= idx < n:
             raise EvaluationError(f"rule index {idx} out of range for {n} rules")
     if set(first) & set(second):

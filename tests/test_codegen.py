@@ -1,11 +1,14 @@
 """Standalone source generation: equivalence with the interpreter and hygiene
 of the emitted text."""
 
+import ast
 import dataclasses
 import keyword
 import math
 import random
 import re
+import sys
+import textwrap
 
 import pytest
 
@@ -13,7 +16,8 @@ import helpers
 from fuzzkit import (And, Defuzzifier, Domain, EngineSettings, FuzzySystem,
                      Gaussian, Implication, ModelError, Or, PiecewiseLinear, Relation, Rule,
                      SNorm, SystemKind, Trapezoidal, Triangular, Variable, corpus)
-from fuzzkit.codegen import CodegenError, generate, load
+from fuzzkit import _emit
+from fuzzkit.codegen import _WIDTH, CodegenError, _wrap, generate, load
 from fuzzkit.engine import fire_rules, infer
 
 
@@ -151,10 +155,51 @@ def _crowded_system(rng, implication):
                        settings)
 
 
+def _run_helper_loops(src):
+    """Line numbers of each ``_run{k}`` helper's loop headers in ``src``: one
+    loop per term fired alone (none when k is 1), then the general loop."""
+    loops, name = {}, None
+    for n, line in enumerate(src.splitlines(), 1):
+        m = re.match(r"    def (_run\d+)\(", line)
+        if m:
+            name = m.group(1)
+            loops[name] = []
+        elif not line.startswith("        "):
+            name = None
+        elif name and line.lstrip().startswith("for _x,"):
+            loops[name].append(n)
+    return loops
+
+
+def _traced_lines(fn, *args):
+    """Call ``fn(*args)``; return its result and the lines run inside the
+    ``_run`` helpers it calls."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_name.startswith("_run") else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        got = fn(*args)
+    finally:
+        sys.settrace(before)
+    return got, seen
+
+
 @pytest.mark.parametrize("implication", list(Implication))
 def test_run_pass_matches_interpreter_bitwise(implication):
     # The one-pass loops of max aggregation with the centroid equal infer and
     # the plain-float reference with ==, inputs included where nothing fires.
+    # The inputs reach runs where exactly one covering term fired, which the
+    # run helpers walk in that term's own loop, and runs where several did,
+    # which take the general loop.
     rng = random.Random(119)
     systems = [_run_pass_system(rng, implication) for _ in range(4)]
     z = systems[0].outputs["z"]
@@ -166,16 +211,23 @@ def test_run_pass_matches_interpreter_bitwise(implication):
                                        defuzzifier=Defuzzifier.CENTROID)
         systems.append(FuzzySystem(base.name, base.kind, base.inputs, base.outputs,
                                    base.rules, settings))
-    assert "_c2" in generate(systems[0])  # some run is covered by three terms
+    # some run is covered by three or more terms
+    assert re.search(r"= _run[3-9]\(", generate(systems[0]))
     systems.append(_crowded_system(rng, implication))
-    assert "_c14" in generate(systems[-1])  # one run is covered by all fifteen
+    assert "_run15(" in generate(systems[-1])  # one run is covered by all fifteen
     degenerate = 0
     for fis in systems:
-        fn = load(generate(fis))
+        src = generate(fis)
+        fn = load(src)
+        loops = _run_helper_loops(src)
+        assert loops and all(len(v) == (int(k[4:]) + 1 if k != "_run1" else 1)
+                             for k, v in loops.items())
+        taken = set()
         names = list(fis.inputs)
         for _ in range(300):
             inputs = helpers.random_inputs(rng, fis, pad=0.5)
-            got = fn(*(inputs[n] for n in names))
+            got, seen = _traced_lines(fn, *(inputs[n] for n in names))
+            taken |= seen
             if len(fis.outputs) == 1:
                 got = (got,)
             res = infer(fis, inputs)
@@ -183,6 +235,14 @@ def test_run_pass_matches_interpreter_bitwise(implication):
             assert got == tuple(res.crisp.values()) == tuple(crisp.values()), \
                 (fis.name, inputs)
             degenerate += len(degen)
+        for name, heads in loops.items():
+            assert heads[-1] in taken, (fis.name, name)  # the general loop
+            if len(heads) > 1:  # and some term's own loop
+                assert taken & set(heads[:-1]), (fis.name, name)
+        if fis.name in ("robot", "crowded"):
+            assert set(loops) == ({"_run2"} if fis.name == "robot" else {"_run15"})
+            if fis.name == "robot":
+                assert set(loops["_run2"]) <= taken  # every branch of _run2
     assert degenerate > 0
 
 
@@ -257,8 +317,44 @@ def test_single_rule_source_is_short_and_standalone():
     assert all(re.match(r"from math import |import math", l) for l in imports)
     # Sums are left folds: builtin sum compensates from Python 3.12 on and
     # math.fsum rounds once, so either would break bitwise parity.
+    # The run helpers are nested, so the text stays one top-level def.
     for fis in (_one_rule_system(), *(corpus.load_system(c) for c in ("tipper", "robot"))):
-        assert not re.search(r"(?<!\w)f?sum\(", generate(fis)), fis.name
+        text = generate(fis)
+        assert not re.search(r"(?<!\w)f?sum\(", text), fis.name
+        defs = [n for n in ast.parse(text).body if isinstance(n, ast.FunctionDef)]
+        assert len(defs) == 1, fis.name
+    assert "    def _run2(" in generate(corpus.load_system("robot"))
+
+
+def test_wrap_fills_like_textwrap():
+    # The greedy fill gives textwrap.wrap's lines for the literals codegen
+    # wraps: float tuples, tuples of point tuples, argument tails.
+    rng = random.Random(121)
+
+    def number():
+        return rng.choice((rng.uniform(-1e3, 1e3), rng.random(), 0.1 + 0.2,
+                           float(rng.randint(-99, 99)), -1e-300))
+
+    for _ in range(500):
+        head = rng.choice(("_xs0 = ", "_col3_12 = ", "_den0, _num0 = _run2(",
+                           "_den11, _num11 = _run15(", "x" * rng.randint(70, 100)))
+        shape = rng.randrange(3)
+        if shape == 0:
+            text = repr(tuple(number() for _ in range(rng.randint(1, 40))))
+        else:
+            k = rng.randint(1, 16)
+            pts = repr(tuple(tuple(number() for _ in range(k + 1))
+                             for _ in range(rng.randint(2, 12))))
+            text = pts if shape == 1 else (
+                f"{pts}, {', '.join(f'_s0_{i}' for i in range(k))}, _den0, _num0)")
+        w = _emit.Writer()
+        w.level = rng.randint(0, 4)
+        _wrap(w, head, text)
+        indent = "    " * w.level
+        assert w.lines == textwrap.wrap(text, width=_WIDTH, initial_indent=indent + head,
+                                        subsequent_indent=indent + "    ",
+                                        break_long_words=False,
+                                        break_on_hyphens=False), (head, text)
 
 
 def test_math_import_names_exactly_what_the_body_calls():

@@ -1,5 +1,6 @@
 """Model-definition language: parsing, loop expansion, canonical formatting."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,13 +9,34 @@ import helpers
 from fuzzkit import (Defuzzifier, Gaussian, Or, ParseError, Relation, SNorm,
                      SugenoConstant, SugenoLinear, SystemKind, TNorm,
                      Trapezoidal, Triangular, corpus)
-from fuzzkit.dsl import (LoopStmt, expand_loops, format_proposition,
+from fuzzkit.dsl import (LoopStmt, Token, expand_loops, format_proposition,
                          format_rule, format_system, parse_ast, parse_system)
 
 
 @pytest.fixture(scope="module")
 def tipper_text():
     return corpus.load_text("tipper.fzl")
+
+
+# ---------------------------------------------------------------------------
+# Tokens
+
+def test_token_is_a_frozen_dataclass():
+    # The explicit __init__ fills every field, defaults included; equality,
+    # hashing, repr and immutability are the dataclass's own.
+    fields = [f.name for f in dataclasses.fields(Token)]
+    assert fields == ["kind", "text", "line", "column", "value", "is_int"]
+    a = Token("NUMBER", "2", 3, 4, value=2.0, is_int=True)
+    assert a == Token("NUMBER", "2", 3, 4, 2.0, True)
+    assert hash(a) == hash(Token("NUMBER", "2", 3, 4, 2.0, True))
+    assert a != Token("NUMBER", "2", 3, 5, 2.0, True)
+    assert repr(a) == "Token(kind='NUMBER', text='2', line=3, column=4, value=2.0, is_int=True)"
+    b = Token("IDENT", "x", 1, 1)
+    assert (b.value, b.is_int) == (None, False)
+    assert dataclasses.astuple(b) == ("IDENT", "x", 1, 1, None, False)
+    assert dataclasses.replace(b, column=7) == Token("IDENT", "x", 1, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.text = "y"
 
 
 # ---------------------------------------------------------------------------

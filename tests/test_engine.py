@@ -406,6 +406,19 @@ def test_grouped_max_output_validation(tipper):
         grouped_max_output(tipper, inputs, 256, range(0, 2), range(2, 9))
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+def test_grouped_max_output_rejects_non_integer_indices(tipper, bad):
+    # A float or bool index is refused up front, not read as a rule (True
+    # would be rule 1) or left to fail later as a bare TypeError.
+    inputs = {"service": 5.0, "food": 5.0}
+    with pytest.raises(EvaluationError, match="not an integer"):
+        grouped_max_output(tipper, inputs, 256, [bad], [2])
+    with pytest.raises(EvaluationError, match="not an integer"):
+        grouped_max_output(tipper, inputs, 256, [0], [2, bad])
+    assert grouped_max_output(tipper, inputs, 256, [np.int64(0)], [np.int32(2)]) == \
+        grouped_max_output(tipper, inputs, 256, [0], [2])
+
+
 def test_denoise_detector_requires_26_rules(tipper):
     with pytest.raises(EvaluationError):
         engine.denoise_detector(tipper, {"service": 5.0, "food": 5.0})
