@@ -12,9 +12,10 @@ aggregated and summed in one pass: the grid is split at generation time into
 maximal runs of points covered by the same positive term columns, and each
 run, entered only when one of its terms fired, is one call to a nested
 helper over a literal tuple of ``(x, column values...)`` points.  There is
-one helper per run width; it walks the points once, in a loop of its own
-when only one of the run's terms fired.  Other operator choices fill a list
-of aggregated degrees over each fired term's support, then defuzzify it.
+one helper per run width; it walks the points once, and for runs of two
+terms in a loop of its own when only one of them fired.  Other operator
+choices fill a list of aggregated degrees over each fired term's support,
+then defuzzify it.
 
 Generated functions reproduce the interpreter bit for bit: the antecedent
 prologue is the one ``_emit.emit_antecedents`` writes for the engine's
@@ -163,7 +164,7 @@ def _emit_mamdani_output(w, fis, lowering, out_name, var, o, local, cons,
 
     if fused:
         w.emit(f"# output {out_name}: centroid over {resolution} grid points, "
-               f"one loop per run of points the same terms cover")
+               f"one helper call per run of points the same terms cover")
     else:
         w.emit(f"# output {out_name}: grid of {resolution} points with "
                f"pre-sampled term curves (trimmed to their nonzero support)")
@@ -346,10 +347,11 @@ def _emit_run_helper(w, implication, k) -> None:
     the implicated, max-combined degrees of a run covered by ``k`` terms to
     the centroid sums and returns ``(den, num)``.
 
-    When only term ``i`` fired, its own loop implicates column ``i`` alone:
-    every other term implicates to 0.0 (under MIN and PROD alike) and
-    ``max(v, 0.0)`` is ``v`` for ``v >= 0``, so the sums get the same bits the
-    general loop would add.
+    A run of two terms often sees only one of them fired; ``_run2`` then
+    walks a loop that implicates that term's column alone.  The other term
+    implicates to 0.0 (under MIN and PROD alike) and ``max(v, 0.0)`` is ``v``
+    for ``v >= 0``, so the sums get the same bits the general loop would add.
+    Other widths have the general loop only.
     """
     ss = [f"_s{i}" for i in range(k)]
     head = f"for _x, {', '.join(f'_c{i}' for i in range(k))} in _pts:"
@@ -367,18 +369,20 @@ def _emit_run_helper(w, implication, k) -> None:
 
     w.emit(f"def _run{k}(_pts, {', '.join(ss)}, _den, _num):")
     w.level += 1
-    if k == 1:
-        loop([0])
+    if k != 2:
+        loop(range(k))
     else:
-        for i in range(k):
-            others = " or ".join(ss[:i] + ss[i + 1:])
-            w.emit(f"{'elif' if i else 'if'} not {others if k == 2 else f'({others})'}:")
-            w.level += 1
-            loop([i])
-            w.level -= 1
+        w.emit("if not _s1:")
+        w.level += 1
+        loop([0])
+        w.level -= 1
+        w.emit("elif not _s0:")
+        w.level += 1
+        loop([1])
+        w.level -= 1
         w.emit("else:")
         w.level += 1
-        loop(range(k))
+        loop(range(2))
         w.level -= 1
     w.emit("return _den, _num")
     w.level -= 1

@@ -114,6 +114,9 @@ class Token:
     value: float | None = None
     is_int: bool = False
 
+    # Fills __dict__ in one step instead of one object.__setattr__ per field
+    # (a cycle of the lexer makes about a thousand tokens).  Its parameters
+    # and defaults must repeat the fields above; test_dsl pins both lists.
     def __init__(self, kind, text, line, column, value=None, is_int=False):
         self.__dict__.update(kind=kind, text=text, line=line, column=column,
                              value=value, is_int=is_int)

@@ -156,8 +156,9 @@ def _crowded_system(rng, implication):
 
 
 def _run_helper_loops(src):
-    """Line numbers of each ``_run{k}`` helper's loop headers in ``src``: one
-    loop per term fired alone (none when k is 1), then the general loop."""
+    """Line numbers of each ``_run{k}`` helper's loop headers in ``src``: for
+    ``_run2`` one loop per term fired alone, then the general loop; other
+    widths have the general loop only."""
     loops, name = {}, None
     for n, line in enumerate(src.splitlines(), 1):
         m = re.match(r"    def (_run\d+)\(", line)
@@ -197,9 +198,9 @@ def _traced_lines(fn, *args):
 def test_run_pass_matches_interpreter_bitwise(implication):
     # The one-pass loops of max aggregation with the centroid equal infer and
     # the plain-float reference with ==, inputs included where nothing fires.
-    # The inputs reach runs where exactly one covering term fired, which the
-    # run helpers walk in that term's own loop, and runs where several did,
-    # which take the general loop.
+    # The inputs reach runs of two terms where exactly one of them fired,
+    # which _run2 walks in that term's own loop, and runs where several
+    # terms fired, which take the general loop.
     rng = random.Random(119)
     systems = [_run_pass_system(rng, implication) for _ in range(4)]
     z = systems[0].outputs["z"]
@@ -220,7 +221,7 @@ def test_run_pass_matches_interpreter_bitwise(implication):
         src = generate(fis)
         fn = load(src)
         loops = _run_helper_loops(src)
-        assert loops and all(len(v) == (int(k[4:]) + 1 if k != "_run1" else 1)
+        assert loops and all(len(v) == (3 if k == "_run2" else 1)
                              for k, v in loops.items())
         taken = set()
         names = list(fis.inputs)

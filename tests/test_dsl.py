@@ -1,6 +1,7 @@
 """Model-definition language: parsing, loop expansion, canonical formatting."""
 
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -26,6 +27,11 @@ def test_token_is_a_frozen_dataclass():
     # hashing, repr and immutability are the dataclass's own.
     fields = [f.name for f in dataclasses.fields(Token)]
     assert fields == ["kind", "text", "line", "column", "value", "is_int"]
+    params = list(inspect.signature(Token.__init__).parameters.values())[1:]
+    assert [p.name for p in params] == fields
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(Token)]
     a = Token("NUMBER", "2", 3, 4, value=2.0, is_int=True)
     assert a == Token("NUMBER", "2", 3, 4, 2.0, True)
     assert hash(a) == hash(Token("NUMBER", "2", 3, 4, 2.0, True))
