@@ -87,12 +87,13 @@ def cmd_eval(args) -> int:
             value = grouped_max_output(fis, inputs, args.gray_levels, first, second)
             name = next(iter(fis.outputs))
             crisp = {name: value}
-            firing = None
+            firing = intervals = firing_intervals = None
             degenerate: tuple = ()
         else:
             result = infer(fis, inputs)
             crisp = result.crisp
             firing = list(result.firing) if result.firing is not None else None
+            intervals, firing_intervals = result.intervals, result.firing_intervals
             degenerate = result.degenerate
     except MissingInputError as exc:
         raise _Failure(2, str(exc))
@@ -102,6 +103,9 @@ def cmd_eval(args) -> int:
         payload = {"crisp": {k: v for k, v in crisp.items()},
                    "firing": firing,
                    "degenerate": sorted(degenerate)}
+        if intervals is not None:  # interval type-2
+            payload["intervals"] = {k: list(v) for k, v in intervals.items()}
+            payload["firing_intervals"] = [list(pair) for pair in firing_intervals]
         print(json.dumps(payload, sort_keys=True))
         return 0
     for name, value in crisp.items():
@@ -109,6 +113,9 @@ def cmd_eval(args) -> int:
     if args.firing and firing is not None:
         for i, act in enumerate(firing):
             print(f"# rule {i + 1}: {_fmt(act)}")
+    elif args.firing and firing_intervals is not None:
+        for i, (low, high) in enumerate(firing_intervals):
+            print(f"# rule {i + 1}: [{_fmt(low)}, {_fmt(high)}]")
     return 0
 
 
@@ -187,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit a JSON object instead of plain text")
     p.add_argument("--firing", action="store_true",
-                   help="also print each rule's activation")
+                   help="also print each rule's activation ([lower, upper] "
+                        "for interval type-2 models)")
     p.add_argument("--pipeline", choices=["eq1"],
                    help="use the two-group competitive readout instead of "
                         "the standard pipeline (rules split into halves)")

@@ -177,9 +177,11 @@ class _Lowering:
     ``(outputs, resolution)`` array of ``grids`` (``moments`` stacks ones on
     it) and one ``(bands, outputs, width, resolution)`` term-curve matrix
     ``curves``, all read-only: one band for type-1, lower and upper for IT2,
-    zero rows padding outputs with fewer terms.  ``fire`` (rule activations,
-    ``(lower, upper)`` pairs for IT2, from a dict of inputs) compiles on
-    first use (``_fire``), so code generation alone never compiles it.
+    zero rows padding outputs with fewer terms; an IT2 system also has
+    ``km_grids``, each grid's type-reduction constants (``_km_grid``).
+    ``fire`` (rule activations, ``(lower, upper)`` pairs for IT2, from a
+    dict of inputs) compiles on first use (``_fire``), so code generation
+    alone never compiles it.
     """
 
     relations: tuple
@@ -188,6 +190,7 @@ class _Lowering:
     grids: np.ndarray | None = None
     moments: np.ndarray | None = None
     curves: np.ndarray | None = None
+    km_grids: tuple | None = None
     fire: object = None
 
 
@@ -231,7 +234,7 @@ def _lower(fis: FuzzySystem) -> _Lowering:
                             for i, rule in enumerate(fis.rules) for rel in rule.consequents)
         by_output = tuple(tuple((i, s - o * width) for i, s in consequents if s // width == o)
                           for o in range(len(outputs)))
-        grids = moments = curves = None
+        grids = moments = curves = km_grids = None
         if fis.kind is not SystemKind.SUGENO:
             grids = np.array([var.domain.grid(fis.settings.resolution) for var in outputs])
             moments = np.stack((np.ones_like(grids), grids))
@@ -242,8 +245,10 @@ def _lower(fis: FuzzySystem) -> _Lowering:
                     curves[b, o, t] = (getattr(mf, bound) if bound else mf).sample(grids[o])
             for a in (grids, moments, curves):
                 a.setflags(write=False)
+            if fis.kind is SystemKind.MAMDANI_IT2:
+                km_grids = tuple(map(_km_grid, grids))
         lowering = cache["lowering"] = _Lowering(relations, consequents, by_output, grids,
-                                                 moments, curves)
+                                                 moments, curves, km_grids)
     return lowering
 
 
@@ -319,9 +324,21 @@ def defuzzify(kind: Defuzzifier, xs: np.ndarray, mus: np.ndarray) -> float:
     An identically-zero curve yields the grid midpoint.  Sums run in
     ascending grid order (``cumsum`` totals) to stay bit-compatible with
     generated code.
+
+    Input contract: two 1-D arrays of equal, nonzero length; anything else
+    raises ``EvaluationError``.
     """
     xs = np.asarray(xs, dtype=float)
     mus = np.asarray(mus, dtype=float)
+    if not (xs.ndim == mus.ndim == 1 and len(xs) == len(mus)):
+        raise EvaluationError("defuzzify needs two 1-D arrays of equal length")
+    if len(xs) == 0:
+        raise EvaluationError("defuzzify needs a nonempty grid")
+    return _defuzzify(kind, xs, mus)
+
+
+def _defuzzify(kind: Defuzzifier, xs: np.ndarray, mus: np.ndarray) -> float:
+    """``defuzzify`` of float arrays meeting its input contract."""
     mid = 0.5 * (float(xs[0]) + float(xs[-1]))
     if kind is Defuzzifier.CENTROID:
         den = float(np.cumsum(mus)[-1])
@@ -377,7 +394,7 @@ def infer_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
         elif kind is Defuzzifier.CENTROID:
             crisp[name] = num / mass
         else:
-            crisp[name] = defuzzify(kind, xs, mus)
+            crisp[name] = _defuzzify(kind, xs, mus)
     return InferenceResult(crisp, firing, aggregated, tuple(degenerate))
 
 
@@ -413,35 +430,16 @@ def infer_sugeno(fis: FuzzySystem, inputs) -> InferenceResult:
     return InferenceResult(crisp, FiringVector(activations), None, tuple(degenerate))
 
 
-def _km_bounds(xs, lower, upper, mass) -> tuple[float, float]:
-    """``km_reduce`` on a band meeting its input contract, of half-band ``mass``."""
+def _km_grid(xs) -> tuple:
+    """Type-reduction constants of a grid, ``(forward, backward, tol)``:
+    read-only ``(2, 2, n)`` factors ``[[xs, -xs], [1, 1]]``, the same in
+    reverse column order, and the tolerance ``2 * e`` of ``_km_bounds``."""
     n = len(xs)
-    if n == 1:
-        x = float(xs[0])
-        return (x, x)
-    if mass <= 0.0:
-        mid = 0.5 * (float(xs[0]) + float(xs[-1]))
-        return (mid, mid)
-    # Switch point k = -1..n-1 is column i = k + 1: the left bound's curve
-    # takes the upper membership at points [0, i) and the lower one at
-    # [i, n); the right bound's the reverse.  Rows 0-3 of ``m`` are
-    # xs*upper, upper, lower, xs*lower with a leading zero column; rows 4-7
-    # repeat them in reverse row and column order, so accumulating ``m``
-    # gives prefix sums and, read backwards, suffix sums of each row's
-    # partner.  Suffixes are never ``total - prefix``: that would cancel and
-    # turn a zero denominator into a rounding residue.
-    m = np.zeros((8, n + 1))
-    m[1, 1:] = upper
-    m[2, 1:] = lower
-    np.multiply(xs, upper, out=m[0, 1:])
-    np.multiply(xs, lower, out=m[3, 1:])
-    m[4:, 1:] = m[3::-1, :0:-1]
-    c = np.add.accumulate(m, axis=1)
-    # Rows: left numerator and denominator, right denominator and numerator.
-    sums = c[:4] + c[4:, ::-1]
-    np.negative(sums[3], out=sums[3])  # so both ends minimize
-    with np.errstate(invalid="ignore"):  # 0/0 where the curve has no mass
-        approx = sums[::3] / sums[1:3]
+    factors = np.ones((2, 2, 2, n))
+    factors[0, 0, 0] = xs
+    np.negative(xs, out=factors[0, 0, 1])
+    factors[1, 0] = factors[0, 0, :, ::-1]
+    factors.setflags(write=False)
     # Any summation order of n terms errs by at most gamma_(n-1) times the
     # sum of their magnitudes (Higham, Accuracy and Stability of Numerical
     # Algorithms, 2nd ed., sec. 4.2), and |fl(x*theta)| <= 2*|x|*theta even
@@ -449,26 +447,78 @@ def _km_bounds(xs, lower, upper, mass) -> tuple[float, float]:
     # differ by less than e.  The exact optimum's approximation thus lies
     # within 2e of the best approximation.
     e = 12.0 * n * 2.0 ** -53 * max(-float(xs[0]), float(xs[-1]))  # max|xs|, xs sorted
-    near = np.flatnonzero(approx <= (np.fmin.reduce(approx, axis=1) + 2.0 * e)[:, None])
-    end, idx = np.divmod(near, n + 1)
-    if len(near) > 2:
+    return factors[0], factors[1], 2.0 * e
+
+
+def _km_bounds(km, band) -> tuple[float, float] | None:
+    """``km_reduce`` of a ``(2, n)`` band (lower, upper), n >= 2, on the grid
+    of ``km = _km_grid(xs)``; ``None`` when the band has no mass and
+    ``upper`` is identically zero.  A band holding NaN passes through (see
+    ``infer_it2_mamdani``) and raises ``EvaluationError`` when no switch
+    point of one bound has a finite centroid."""
+    forward, backward, tol = km
+    n = band.shape[1]
+    # Switch point k = -1..n-1 is column i = k + 1: the left bound's curve
+    # takes the upper membership at points [0, i) and the lower one at
+    # [i, n); the right bound's the reverse.  After a leading zero column,
+    # ``m[0]`` holds [[xs*upper, -xs*lower], [upper, lower]] and ``m[1]`` the
+    # partner rows [[xs*lower, -xs*upper], [lower, upper]] in reverse column
+    # order.  One accumulate gives prefix sums of the first and, read
+    # backwards, suffix sums of the second, so their sum holds the left
+    # numerator, the negated right numerator (both ends then minimize; a
+    # negated sum is exact) and the two denominators.  Suffixes are never
+    # ``total - prefix``: that would cancel and turn a zero denominator into
+    # a rounding residue.
+    m = np.zeros((2, 2, 2, n + 1))
+    np.multiply(forward, band[::-1], out=m[0, ..., 1:])
+    np.multiply(backward, band[:, ::-1], out=m[1, ..., 1:])
+    c = np.add.accumulate(m, axis=-1)
+    # ``c[0, 1, :, n]`` are the left-to-right totals of upper and lower.
+    # Above 1e-290 some upper membership exceeds 2**-1073 (n < 1e30), so
+    # 0.5 * (lower + upper) has a positive term and its pairwise ``np.sum``,
+    # the half-band mass that defines "no mass", is positive too; only below
+    # that, or for NaN, is the mass summed itself.
+    total_upper, total_lower = c[0, 1, :, n].tolist()
+    if not total_upper > 1e-290:
+        mass = np.add.reduce(0.5 * (band[0] + band[1]))
+        if not (mass > 0.0 or band[1].any()):
+            return None
+        if mass <= 0.0:
+            mid = 0.5 * (float(forward[0, 0, 0]) + float(forward[0, 0, -1]))
+            return (mid, mid)
+    sums = np.add(c[0], c[1, ..., ::-1], out=c[0])
+    if total_lower > 0.0:  # with 0 <= lower <= upper, every curve then has mass
+        approx = sums[0] / sums[1]
+    else:
+        with np.errstate(invalid="ignore"):  # 0/0 where a curve has no mass
+            approx = sums[0] / sums[1]
+    end, idx = np.nonzero(approx <= np.fmin.reduce(approx, axis=1, keepdims=True) + tol)
+    if len(end) > 2:
         # Where lower[j] == upper[j], columns j and j + 1 give the same curve:
         # keep the first column of each such run.
         first = np.ones(n + 1, dtype=bool)
-        np.not_equal(lower, upper, out=first[1:])
+        np.not_equal(band[0], band[1], out=first[1:])
         rep = np.maximum.accumulate(np.where(first, np.arange(n + 1), 0))
         end, idx = np.divmod(np.unique(end * (n + 1) + rep[idx]), n + 1)
+    ends, cols = end.tolist(), idx.tolist()
+    k = ends.count(0)  # left-end candidates come first
+    if not 0 < k < len(ends):
+        raise EvaluationError("no switch point gives a finite centroid")
     # Confirm with the defining formula, ``np.sum`` over each candidate
-    # curve: row sums of a C-contiguous matrix round exactly like ``np.sum``
-    # of each row.  Blocks bound memory when many candidates tie.
+    # curve and its products with xs.  ``m`` holds [xs*upper, upper] and, read
+    # backwards, [xs*lower, lower]; each block concatenates the candidates'
+    # pieces of both into one C-contiguous (2, r, n) matrix, whose row sums
+    # round exactly like ``np.sum`` of each row.  Blocks of at most 64K curve
+    # elements bound memory when many candidates tie (each costs O(n)).
+    with_upper, with_lower = m[0, :, 0, 1:], m[1, :, 0, :0:-1]
+    pieces = (with_upper, with_lower, with_upper)  # a curve: p[end][:i] + p[end + 1][i:]
     exact = []
     block = max(1, (1 << 16) // n)
-    for s in range(0, len(idx), block):
-        rows = slice(s, s + block)
-        theta = np.where((np.arange(n) < idx[rows, None]) != end[rows, None], upper, lower)
-        num = np.add.reduce(xs * theta, axis=1)
-        exact += (num / np.add.reduce(theta, axis=1)).tolist()
-    k = end.tolist().count(0)  # left-end rows come first
+    for s in range(0, len(cols), block):
+        rows = np.concatenate([p for right, i in zip(ends[s:s + block], cols[s:s + block])
+                               for p in (pieces[right][:, :i], pieces[right + 1][:, i:])], axis=1)
+        nums, dens = np.add.reduce(rows.reshape(2, -1, n), axis=2).tolist()
+        exact += map(operator.truediv, nums, dens)
     return (min(exact[:k]), max(exact[k:]))
 
 
@@ -483,6 +533,10 @@ def km_reduce(xs, lower, upper) -> tuple[float, float]:
     bound of the best are re-evaluated with ``np.sum`` and the best exact
     value is returned.  A band with no mass yields the grid midpoint.
     Identical inputs give bitwise-identical bounds.
+
+    Cost: O(n) plus O(n) per near-best candidate, so O(n**2) in the worst
+    case, when almost every switch point ties with the best (for example
+    ``lower = upper * (1 - 2**-50)``); runs of equal bounds count once.
 
     Input contract: three 1-D arrays of equal, nonzero length; ``xs`` finite
     and non-decreasing; memberships finite with 0 <= lower <= upper.
@@ -504,31 +558,42 @@ def km_reduce(xs, lower, upper) -> tuple[float, float]:
             and (lower <= upper).all()):
         raise EvaluationError(
             "km_reduce needs finite memberships with 0 <= lower <= upper")
-    return _km_bounds(xs, lower, upper, np.add.reduce(0.5 * (lower + upper)))
+    if len(xs) == 1:
+        x = float(xs[0])
+        return (x, x)
+    mid = 0.5 * (float(xs[0]) + float(xs[-1]))
+    return _km_bounds(_km_grid(xs), np.array((lower, upper))) or (mid, mid)
 
 
 def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
     """Interval type-2 Mamdani pipeline with Karnik-Mendel type reduction.
 
-    Crisp output is the midpoint of the type-reduced interval.
+    Crisp output is the midpoint of the type-reduced interval.  An output
+    whose aggregated band holds NaN where every switch point of a bound
+    reads it (a NaN input under a non-max aggregation) raises
+    ``EvaluationError``.
     """
     if fis.kind is not SystemKind.MAMDANI_IT2:
         raise EvaluationError(
             f"infer_it2_mamdani requires an interval type-2 system, got {fis.kind.value}")
     acts = _fire(fis, inputs, interval=True)
-    lowers, uppers = _aggregate(fis, tuple(zip(*acts)))  # lower and upper activations
+    lowering = _lower(fis)
+    agg = _aggregate(fis, tuple(zip(*acts)))  # lower and upper activations
     crisp, aggregated, intervals, degenerate = {}, {}, {}, []
-    for (name, var), xs, lower, upper in zip(fis.outputs.items(), _lower(fis).grids,
-                                             lowers, uppers):
-        aggregated[name] = CurveBand(SampledCurve(xs, lower), SampledCurve(xs, upper))
-        mass = np.add.reduce(0.5 * (lower + upper))
-        if mass > 0.0 or upper.any():  # as lower <= upper, mass > 0 implies upper.any()
-            y_left, y_right = intervals[name] = _km_bounds(xs, lower, upper, mass)
-            crisp[name] = 0.5 * (y_left + y_right)
-        else:
+    for (name, var), xs, km, band in zip(fis.outputs.items(), lowering.grids,
+                                         lowering.km_grids, agg.swapaxes(0, 1)):
+        aggregated[name] = CurveBand(SampledCurve(xs, band[0]), SampledCurve(xs, band[1]))
+        try:
+            bounds = _km_bounds(km, band)
+        except EvaluationError as exc:
+            raise EvaluationError(f"cannot type-reduce output {name!r}: {exc}") from None
+        if bounds is None:
             crisp[name] = value = _zero_fire_value(fis, name, var)
             intervals[name] = (value, value)
             degenerate.append(name)
+        else:
+            y_left, y_right = intervals[name] = bounds
+            crisp[name] = 0.5 * (y_left + y_right)
     return InferenceResult(crisp, None, aggregated, tuple(degenerate), intervals, acts)
 
 

@@ -49,6 +49,45 @@ def test_eval_firing_lines(tipper_path, capsys):
     assert "# rule 1:" in out and "# rule 3:" in out
 
 
+def test_eval_type1_output_is_unchanged(tipper_path, capsys):
+    # Type-1 output, byte for byte: no interval keys, one value a rule.
+    assert main(["eval", tipper_path, "service=5", "food=5", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"crisp": {"tip": 15.000000000000039}, "degenerate": [], '
+        '"firing": [0.0038659201394728076, 1.0, 0.0038659201394728076]}\n')
+    assert main(["eval", tipper_path, "service=5", "food=5", "--firing"]) == 0
+    assert capsys.readouterr().out == ("tip = 15.0\n# rule 1: 0.00386592\n"
+                                       "# rule 2: 1.0\n# rule 3: 0.00386592\n")
+
+
+@pytest.fixture()
+def tipper_it2_path(tmp_path):
+    p = tmp_path / "tipper_it2.fzl"
+    p.write_text(corpus.load_text("tipper_it2.fzl"))
+    return str(p)
+
+
+def test_eval_it2_firing_prints_intervals(tipper_it2_path, capsys):
+    assert main(["eval", tipper_it2_path, "service=8", "food=7", "--firing"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = infer(corpus.load_system("tipper_it2"), {"service": 8.0, "food": 7.0})
+    assert lines[0] == f"tip = {want.crisp['tip']:.6g}" == "tip = 22.0318"
+    assert lines[1:] == [f"# rule {i}: [{lo:.6g}, {hi:.6g}]"
+                         for i, (lo, hi) in enumerate(want.firing_intervals, 1)]
+    assert lines[3] == "# rule 3: [0.249352, 0.539408]"
+
+
+def test_eval_it2_json_has_intervals(tipper_it2_path, capsys):
+    assert main(["eval", tipper_it2_path, "service=8", "food=7", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = infer(corpus.load_system("tipper_it2"), {"service": 8.0, "food": 7.0})
+    assert payload["crisp"] == want.crisp
+    assert payload["firing"] is None
+    assert payload["degenerate"] == []
+    assert payload["intervals"] == {"tip": list(want.intervals["tip"])}
+    assert payload["firing_intervals"] == [list(p) for p in want.firing_intervals]
+
+
 def test_eval_missing_input_exits_2(tipper_path, capsys):
     assert main(["eval", tipper_path, "service=5"]) == 2
     assert "missing input: food" in capsys.readouterr().err

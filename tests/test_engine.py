@@ -143,6 +143,25 @@ def test_defuzzify_zero_curve_returns_midpoint():
         assert defuzzify(kind, xs, mus) == 5.0
 
 
+@pytest.mark.parametrize("breach", ["longer_grid", "longer_curve", "empty",
+                                    "two_dimensional", "scalar"])
+def test_defuzzify_rejects_contract_breach(breach):
+    # Two 1-D arrays of equal, nonzero length; every defuzzifier refuses
+    # anything else with EvaluationError (BISECTOR and MEAN_OF_MAXIMA used
+    # to answer for mismatched lengths, and empty arrays raised IndexError).
+    xs = np.array([0.0, 1.0, 2.0])
+    args = {
+        "longer_grid": (xs, np.array([0.5, 1.0])),
+        "longer_curve": (xs[:2], np.array([0.5, 1.0, 0.5])),
+        "empty": (np.array([]), np.array([])),
+        "two_dimensional": (xs[None, :], np.array([[0.5, 1.0, 0.5]])),
+        "scalar": (1.0, 0.5),
+    }[breach]
+    for kind in Defuzzifier:
+        with pytest.raises(EvaluationError):
+            defuzzify(kind, *args)
+
+
 # ---------------------------------------------------------------------------
 # Mamdani
 
@@ -303,6 +322,37 @@ def test_nan_input_behaviour_is_pinned(tipper):
     res = infer(prob_sum, {"service": math.nan, "food": 5.0})
     assert math.isnan(res.crisp["tip"])
     assert res.degenerate == ()
+    # Interval type-2: the NaN service fires rule 2 at (nan, nan), which max
+    # aggregation ignores; NaN everywhere fires nothing, and so does an
+    # infinite service where the food fires no rule either.
+    tipper_it2 = corpus.load_system("tipper_it2")
+    res = infer(tipper_it2, {"service": math.nan, "food": 7.0})
+    assert res.crisp == {"tip": 24.9}
+    assert res.intervals == {"tip": (20.099999999999998, 29.7)}
+    assert res.degenerate == ()
+    assert all(math.isnan(a) for a in res.firing_intervals[1])
+    assert res.firing_intervals[0] == (0.0, 0.0)
+    res = infer(tipper_it2, {"service": math.nan, "food": math.nan})
+    assert res.crisp == {"tip": 15.0}
+    assert res.intervals == {"tip": (15.0, 15.0)}
+    assert res.degenerate == ("tip",)
+    for food, tip in ((5.0, 15.0), (7.0, 24.9)):
+        res = infer(tipper_it2, {"service": math.inf, "food": food})
+        assert res.crisp == {"tip": tip}
+        assert res.degenerate == (("tip",) if food == 5.0 else ())
+
+
+def test_it2_nan_band_raises_evaluation_error():
+    # Under a non-max aggregation the NaN activation of rule 2 reaches the
+    # aggregated band, so no switch point of either bound has a finite
+    # centroid: an EvaluationError naming the output, not a bare ValueError.
+    tipper_it2 = corpus.load_system("tipper_it2")
+    prob_sum = FuzzySystem(
+        tipper_it2.name, tipper_it2.kind, tipper_it2.inputs, tipper_it2.outputs,
+        tipper_it2.rules, dataclasses.replace(tipper_it2.settings, aggregation=SNorm.PROB_SUM))
+    with pytest.raises(EvaluationError, match="'tip'"):
+        infer(prob_sum, {"service": math.nan, "food": 7.0})
+    assert infer(prob_sum, {"service": 8.0, "food": 7.0}).degenerate == ()
 
 
 # ---------------------------------------------------------------------------

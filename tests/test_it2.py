@@ -66,6 +66,17 @@ def test_km_reduce_matches_oracle_at_scale():
             assert got == want, (n, case, got, want)
 
 
+def test_km_reduce_many_near_ties_match_oracle():
+    # lower = upper * (1 - 2**-50) puts every switch point within a few ulp
+    # of the best, so nearly all 1,002 candidates of each bound are
+    # confirmed, over many blocks of the confirm step: the quadratic worst
+    # case that km_reduce's docstring states.
+    xs = np.linspace(-10.0, 30.0, 1001)
+    upper = np.exp(-0.5 * ((xs - 7.0) / 6.0) ** 2)
+    lower = upper * (1.0 - 2.0 ** -50)
+    assert km_reduce(xs, lower, upper) == helpers.km_oracle(xs, lower, upper)
+
+
 @pytest.mark.parametrize("breach", ["nan_membership", "lower_above_upper",
                                     "decreasing_grid", "negative_membership"])
 def test_km_reduce_rejects_contract_breach(breach):
