@@ -1,13 +1,14 @@
-"""Scalar code emission shared by the engine's compiled rule firing and the
-standalone code generator.
+"""Scalar code emission: the one scalar evaluator of rule antecedents.
 
-``emit_antecedents`` writes the one antecedent prologue both backends run,
-for type-1 and interval type-2 systems alike: membership degrees of the
-used terms, then each rule's truth degree times its weight.  Every template
-here mirrors, operation for operation, the scalar formulas in ``mf`` and
-``norms``; emitted code therefore reproduces the interpreter's tree walk
-(``engine.eval_proposition``) bit for bit.  Changing a formula in either
-place requires changing it in both.
+The engine's compiled rule firing, ``engine.eval_proposition`` and the
+standalone code generator all run text written here.  ``emit_antecedents``
+writes the antecedent prologue, for type-1 and interval type-2 systems
+alike: membership degrees of the used terms (``emit_degrees``), then each
+rule's truth degree times its weight.  Norms are formatted from the
+statement templates in ``norms``, their only source.  Membership formulas
+(``emit_mf``) mirror ``mf``'s ``__call__`` operation for operation, so a
+term called directly and a term in emitted code agree bit for bit; changing
+one requires changing the other.
 
 Emitted code references only the names ``exp``, ``log`` and ``abs``; callers
 provide them (``math.exp``/``math.log``/builtin ``abs``, or a
@@ -23,7 +24,7 @@ from .errors import EvaluationError
 from .mf import (Gaussian, GeneralizedBell, PiecewiseLinear, Sigmoid,
                  Singleton, Trapezoidal, Triangular)
 from .model import And, Not, Or, Relation, SystemKind
-from .norms import SNorm, TNorm
+from .norms import SNORM_TEMPLATES, TNORM_TEMPLATES, SNorm, TNorm
 
 
 def lit(value: float) -> str:
@@ -196,45 +197,18 @@ def emit_mf(w: Writer, mf, x: str, out: str) -> None:
     raise EvaluationError(f"cannot emit code for membership function {mf!r}")
 
 
+def _emit_norm(w: Writer, template: str, a: str, b: str, out: str) -> None:
+    s = w.sym("_s") if "{s}" in template else None
+    for line in template.format(a=a, b=b, s=s, out=out).split("\n"):
+        w.emit(line)
+
+
 def emit_tnorm(w: Writer, kind: TNorm, a: str, b: str, out: str) -> None:
-    if kind is TNorm.MIN:
-        w.emit(f"{out} = {a} if {a} < {b} else {b}")
-    elif kind is TNorm.PROD:
-        w.emit(f"{out} = {a} * {b}")
-    elif kind is TNorm.LUKASIEWICZ:
-        s = w.sym("_s")
-        w.emit(f"{s} = {a} + {b} - 1.0")
-        w.emit(f"{out} = {s} if {s} > 0.0 else 0.0")
-    elif kind is TNorm.DRASTIC:
-        w.emit(f"{out} = {b} if {a} == 1.0 else ({a} if {b} == 1.0 else 0.0)")
-    elif kind is TNorm.NILPOTENT:
-        w.emit(f"{out} = ({a} if {a} < {b} else {b}) "
-               f"if {a} + {b} > 1.0 else 0.0")
-    elif kind is TNorm.HAMACHER:
-        w.emit(f"{out} = 0.0 if {a} == 0.0 and {b} == 0.0 "
-               f"else {a} * {b} / ({a} + {b} - {a} * {b})")
-    else:
-        raise EvaluationError(f"unknown t-norm {kind!r}")
+    _emit_norm(w, TNORM_TEMPLATES[kind], a, b, out)
 
 
 def emit_snorm(w: Writer, kind: SNorm, a: str, b: str, out: str) -> None:
-    if kind is SNorm.MAX:
-        w.emit(f"{out} = {a} if {a} > {b} else {b}")
-    elif kind is SNorm.PROB_SUM:
-        w.emit(f"{out} = {a} + {b} - {a} * {b}")
-    elif kind is SNorm.BOUNDED_SUM:
-        s = w.sym("_s")
-        w.emit(f"{s} = {a} + {b}")
-        w.emit(f"{out} = {s} if {s} < 1.0 else 1.0")
-    elif kind is SNorm.DRASTIC:
-        w.emit(f"{out} = {b} if {a} == 0.0 else ({a} if {b} == 0.0 else 1.0)")
-    elif kind is SNorm.NILPOTENT:
-        w.emit(f"{out} = ({a} if {a} > {b} else {b}) "
-               f"if {a} + {b} < 1.0 else 1.0")
-    elif kind is SNorm.EINSTEIN:
-        w.emit(f"{out} = ({a} + {b}) / (1.0 + {a} * {b})")
-    else:
-        raise EvaluationError(f"unknown s-norm {kind!r}")
+    _emit_norm(w, SNORM_TEMPLATES[kind], a, b, out)
 
 
 def emit_prop(w: Writer, prop, settings, names, upper: bool = False) -> str:
@@ -266,18 +240,11 @@ def emit_prop(w: Writer, prop, settings, names, upper: bool = False) -> str:
     raise EvaluationError(f"cannot emit code for proposition {prop!r}")
 
 
-def emit_antecedents(w: Writer, fis, relations, args: dict,
-                     inline_mfs: bool = True) -> list[str]:
-    """The antecedent prologue: the membership degree of every
-    ``(variable, term)`` in ``relations``, then each rule's truth degree
-    times its weight.  ``args`` maps input names to the locals holding their
-    values.  ``inline_mfs=False`` emits one nested helper per distinct
-    membership function and calls it instead of inlining the formula.
-
-    Returns one expression per rule.  Under interval type-2 each term
-    fuzzifies its lower and upper functions apart and each expression is a
-    ``(lower, upper)`` tuple.
-    """
+def emit_degrees(w: Writer, fis, relations, args: dict, inline_mfs: bool = True) -> dict:
+    """The membership degree of every ``(variable, term)`` in ``relations``
+    (lower and upper apart under interval type-2), as ``emit_prop``'s
+    ``names``.  ``args`` maps input names to the locals holding their values;
+    ``inline_mfs=False`` calls one nested helper per distinct function."""
     it2 = fis.kind is SystemKind.MAMDANI_IT2
     mfs = {}
     for var, term in relations:
@@ -302,7 +269,15 @@ def emit_antecedents(w: Writer, fis, relations, args: dict,
             else:
                 w.emit(f"{out} = {helpers[mf]}({args[var]})")
         names[var, term] = (outs[0], outs[-1])
+    return names
 
+
+def emit_antecedents(w: Writer, fis, relations, args: dict,
+                     inline_mfs: bool = True) -> list[str]:
+    """The antecedent prologue: ``emit_degrees``, then one expression per
+    rule for its truth degree times its weight (``(lower, upper)`` for IT2)."""
+    it2 = fis.kind is SystemKind.MAMDANI_IT2
+    names = emit_degrees(w, fis, relations, args, inline_mfs)
     acts = []
     w.emit("# rule activations")
     for rule in fis.rules:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bench as bench_mod
@@ -63,10 +64,13 @@ def _parse_assignments(pairs: list[str]) -> dict[str, float]:
         if not eq or not name:
             raise _Failure(2, f"input must look like name=value, got {pair!r}")
         try:
-            inputs[name.strip()] = float(raw)
+            value = float(raw)
         except ValueError:
             raise _Failure(2, f"input {name.strip()!r} has a non-numeric "
                               f"value {raw!r}")
+        if not math.isfinite(value):
+            raise _Failure(2, f"input {name.strip()!r} has a non-finite value {raw!r}")
+        inputs[name.strip()] = value
     return inputs
 
 

@@ -5,10 +5,10 @@ terms it uses, one consequent list over all outputs, the term curves of all
 outputs sampled once into one stacked matrix, and a compiled rule-firing
 function that type-1 and interval type-2 systems alike run; it also takes
 each input from the caller's dict through ``float()`` (``_fire``).  Inference,
-aggregation and ``codegen`` all read that one lowering.  The type-1 tree
-walk (``_fuzzify`` + ``_eval_table``) remains only behind
-``eval_proposition``, the reference compiled firing is tested against.
-Result objects fill their ``__dict__`` at once, not field by field.
+aggregation and ``codegen`` all read that one lowering.  Rule firing and
+``eval_proposition`` run scalar code written by ``_emit``, as generated code
+does, and every defuzzification goes through ``_defuzzify``.  Result
+objects fill their ``__dict__`` at once, not field by field.
 
 One Mamdani call shapes the whole matrix by the rule activations, reduces it
 with the aggregation s-norm and defuzzifies every output.  Grid sums run
@@ -33,10 +33,9 @@ import numpy as np
 
 from . import _emit
 from .errors import EvaluationError, MissingInputError, ModelError
-from .model import (And, FuzzySystem, Not, Or, Proposition, Relation,
-                    SugenoConstant, SystemKind, Variable, _relations)
-from .norms import (Defuzzifier, Implication, SNorm, implicate, snorm,
-                    snorm_arrays, tnorm)
+from .model import (FuzzySystem, Proposition, SugenoConstant, SystemKind, Variable,
+                    _relations)
+from .norms import Defuzzifier, SNorm, implicate, snorm_arrays
 
 @dataclass(frozen=True)
 class FiringVector:
@@ -113,55 +112,32 @@ def _input_values(fis: FuzzySystem, inputs) -> dict:
     return values
 
 
-def _fuzzify(fis: FuzzySystem, values: dict) -> dict:
-    table = {}
-    for name, var in fis.inputs.items():
-        x = values[name]
-        for term, mf in var.terms.items():
-            table[(name, term)] = mf(x)
-    return table
-
-
-def _eval_table(p: Proposition, settings, table) -> float:
-    kind = type(p)
-    if kind is Relation:
-        return table[(p.variable, p.term)]
-    if kind is And:
-        return tnorm(settings.conjunction,
-                     _eval_table(p.left, settings, table),
-                     _eval_table(p.right, settings, table))
-    if kind is Or:
-        return snorm(settings.disjunction,
-                     _eval_table(p.left, settings, table),
-                     _eval_table(p.right, settings, table))
-    if kind is Not:
-        return 1.0 - _eval_table(p.operand, settings, table)
-    raise EvaluationError(f"unsupported proposition node {p!r}")
-
-
 def eval_proposition(p: Proposition, fis: FuzzySystem, inputs) -> float:
     """Truth degree of an antecedent expression under the given inputs.
 
     Uses the system's conjunction/disjunction operators; negation is strong
-    (1 - x).  Pure: identical arguments give bitwise-identical results.
+    (1 - x).  The expression is compiled through the emitter of the rule
+    firing, so it rounds exactly as a rule antecedent does.  Pure: identical
+    arguments give bitwise-identical results.
     """
     values = _input_values(fis, inputs)
     if fis.kind is SystemKind.MAMDANI_IT2:
         raise EvaluationError("interval type-2 antecedents evaluate to intervals; "
                               "use infer() on the system instead")
     try:
-        relations = list(_relations(p))
+        relations = tuple(dict.fromkeys((rel.variable, rel.term) for rel in _relations(p)))
     except ModelError as exc:
         raise EvaluationError(str(exc)) from None
-    for rel in relations:
-        var = fis.inputs.get(rel.variable)
+    for name, term in relations:
+        var = fis.inputs.get(name)
         if var is None:
-            raise EvaluationError(f"proposition references unknown input {rel.variable!r}")
-        if rel.term not in var.terms:
-            raise EvaluationError(
-                f"variable {rel.variable!r} has no term {rel.term!r}")
-    table = _fuzzify(fis, values)
-    return _eval_table(p, fis.settings, table)
+            raise EvaluationError(f"proposition references unknown input {name!r}")
+        if term not in var.terms:
+            raise EvaluationError(f"variable {name!r} has no term {term!r}")
+    w, args = _emit_head(fis)
+    names = _emit.emit_degrees(w, fis, relations, args)
+    w.emit(f"return {_emit.emit_prop(w, p, fis.settings, names)}")
+    return _exec_emitted(w, "<proposition>")(values)
 
 
 @dataclass(eq=False)
@@ -194,15 +170,9 @@ class _Lowering:
     fire: object = None
 
 
-def _compile_fire(fis: FuzzySystem):
-    """Specialize rule firing for one system into its lowering's ``fire``.
-
-    The emitted statements perform exactly the operations of ``_fuzzify`` +
-    ``_eval_table`` (same scalar formulas, same order), so the compiled path
-    is bit-identical to the tree walk; it only removes interpretive
-    dispatch from the hot loop.  Interval type-2 rules fire each bound the
-    same way, ``not p`` taking one minus the opposite bound of ``p``.
-    """
+def _emit_head(fis: FuzzySystem):
+    """A ``Writer`` opening ``def _fire(_values)``, which takes each input
+    from the dict through ``float()``, and the locals holding the inputs."""
     w = _emit.Writer()
     w.emit("def _fire(_values):")
     w.level += 1
@@ -210,12 +180,24 @@ def _compile_fire(fis: FuzzySystem):
     for i, name in enumerate(fis.inputs):
         args[name] = f"_x{i}"
         w.emit(f"_x{i} = _float(_values[{name!r}])")
+    return w, args
+
+
+def _exec_emitted(w: _emit.Writer, filename: str):
+    """Compile ``_emit_head``'s function with the names emitted code uses."""
+    ns = {"exp": math.exp, "log": math.log, "abs": abs, "_float": float, "__builtins__": {}}
+    exec(compile(w.text(), filename, "exec"), ns)
+    return ns["_fire"]
+
+
+def _compile_fire(fis: FuzzySystem):
+    """Specialize rule firing for one system into its lowering's ``fire``:
+    ``_emit``'s antecedent prologue, which generated code runs too."""
+    w, args = _emit_head(fis)
     lowering = _lower(fis)
     acts = _emit.emit_antecedents(w, fis, lowering.relations, args)
     w.emit(f"return ({', '.join(acts)}{',' if len(acts) == 1 else ''})")
-    ns = {"exp": math.exp, "log": math.log, "abs": abs, "_float": float, "__builtins__": {}}
-    exec(compile(w.text(), "<rule firing>", "exec"), ns)
-    lowering.fire = ns["_fire"]
+    lowering.fire = _exec_emitted(w, "<rule firing>")
     return lowering.fire
 
 
@@ -334,37 +316,41 @@ def defuzzify(kind: Defuzzifier, xs: np.ndarray, mus: np.ndarray) -> float:
         raise EvaluationError("defuzzify needs two 1-D arrays of equal length")
     if len(xs) == 0:
         raise EvaluationError("defuzzify needs a nonempty grid")
-    return _defuzzify(kind, xs, mus)
+    crisp, = _defuzzify(kind, np.stack((np.ones_like(xs), xs))[:, None], mus[None])
+    return 0.5 * (float(xs[0]) + float(xs[-1])) if crisp is None else crisp
 
 
-def _defuzzify(kind: Defuzzifier, xs: np.ndarray, mus: np.ndarray) -> float:
-    """``defuzzify`` of float arrays meeting its input contract."""
-    mid = 0.5 * (float(xs[0]) + float(xs[-1]))
-    if kind is Defuzzifier.CENTROID:
-        den = float(np.cumsum(mus)[-1])
-        if den <= 0.0:
-            return mid
-        num = float(np.cumsum(xs * mus)[-1])
-        return num / den
-    if kind is Defuzzifier.BISECTOR:
-        cum = np.cumsum(mus)
-        total = float(cum[-1])
-        if total <= 0.0:
-            return mid
-        half = 0.5 * total
-        return float(xs[int(np.searchsorted(cum, half, side="left"))])
-    top = float(np.max(mus))
-    if top <= 0.0:
-        return mid
-    at_top = np.nonzero(mus == top)[0]
-    if kind is Defuzzifier.FIRST_OF_MAXIMA:
-        return float(xs[at_top[0]])
-    if kind is Defuzzifier.LAST_OF_MAXIMA:
-        return float(xs[at_top[-1]])
-    if kind is Defuzzifier.MEAN_OF_MAXIMA:
-        picked = xs[at_top]
-        return float(np.cumsum(picked)[-1]) / len(picked)
-    raise EvaluationError(f"unknown defuzzifier {kind!r}")
+def _defuzzify(kind: Defuzzifier, moments: np.ndarray, rows: np.ndarray) -> list:
+    """Crisp value of each ``(rows, resolution)`` curve on its grid, or
+    ``None`` where the row has no mass.  ``moments`` stacks ones on the
+    grids, as ``_Lowering.moments`` does.  The mass is the row total for the
+    centroid and bisector, the row maximum otherwise; a NaN mass is mass."""
+    if kind is Defuzzifier.CENTROID:  # one accumulate; 1.0 * mu is exact
+        dens, nums = np.add.accumulate(moments * rows, axis=-1)[..., -1].tolist()
+        return [None if den <= 0.0 else num / den for den, num in zip(dens, nums)]
+    crisp = []
+    for xs, mus in zip(moments[1], rows):
+        if kind is Defuzzifier.BISECTOR:
+            cum = np.cumsum(mus)
+            total = float(cum[-1])
+            crisp.append(None if total <= 0.0 else
+                         float(xs[int(np.searchsorted(cum, 0.5 * total, side="left"))]))
+            continue
+        top = float(np.max(mus))
+        if top <= 0.0:
+            crisp.append(None)
+            continue
+        at_top = np.nonzero(mus == top)[0]
+        if kind is Defuzzifier.FIRST_OF_MAXIMA:
+            crisp.append(float(xs[at_top[0]]))
+        elif kind is Defuzzifier.LAST_OF_MAXIMA:
+            crisp.append(float(xs[at_top[-1]]))
+        elif kind is Defuzzifier.MEAN_OF_MAXIMA:
+            picked = xs[at_top]
+            crisp.append(float(np.cumsum(picked)[-1]) / len(picked))
+        else:
+            raise EvaluationError(f"unknown defuzzifier {kind!r}")
+    return crisp
 
 
 def _zero_fire_value(fis: FuzzySystem, name: str, var: Variable) -> float:
@@ -378,23 +364,15 @@ def infer_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
     firing = FiringVector(_fire(fis, inputs))
     lowering = _lower(fis)
     agg = _aggregate(fis, (firing.activations,))[0]
-    kind = fis.settings.defuzzifier
-    # One accumulate gives ``defuzzify``'s centroid sums of every output (rows
-    # run left to right, 1.0 * mu is exact); a NaN denominator is not degenerate.
-    if kind is Defuzzifier.CENTROID:
-        sums = np.add.accumulate(lowering.moments * agg, axis=-1)[..., -1].tolist()
-    else:
-        sums = [agg.any(axis=-1).tolist()] * 2
+    values = _defuzzify(fis.settings.defuzzifier, lowering.moments, agg)
     crisp, aggregated, degenerate = {}, {}, []
-    for (name, var), xs, mus, mass, num in zip(fis.outputs.items(), lowering.grids, agg, *sums):
+    for (name, var), xs, mus, value in zip(fis.outputs.items(), lowering.grids, agg, values):
         aggregated[name] = SampledCurve(xs, mus)
-        if mass <= 0.0:
+        if value is None:
             crisp[name] = _zero_fire_value(fis, name, var)
             degenerate.append(name)
-        elif kind is Defuzzifier.CENTROID:
-            crisp[name] = num / mass
         else:
-            crisp[name] = _defuzzify(kind, xs, mus)
+            crisp[name] = value
     return InferenceResult(crisp, firing, aggregated, tuple(degenerate))
 
 
@@ -618,14 +596,13 @@ def grouped_max_output(fis: FuzzySystem, inputs, gray_levels: int,
         l1 = max(first), l2 = max(second), l0 = max(0, 1 - l1 - l2)
         y  = (gray_levels - 1) * (l1 - l2) / (l1 + l2 + l0)
     """
-    if gray_levels < 2:
-        raise EvaluationError(f"gray_levels must be at least 2, got {gray_levels}")
+    _check_gray_levels(gray_levels)
     first, second = tuple(first_rules), tuple(second_rules)
     if not first or not second:
         raise EvaluationError("both rule groups must be nonempty")
     n = len(fis.rules)
     for idx in (*first, *second):
-        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+        if not _is_integer(idx):
             raise EvaluationError(f"rule index {idx!r} is not an integer")
         if not 0 <= idx < n:
             raise EvaluationError(f"rule index {idx} out of range for {n} rules")
@@ -633,6 +610,18 @@ def grouped_max_output(fis: FuzzySystem, inputs, gray_levels: int,
         raise EvaluationError("rule groups must be disjoint")
     picked = operator.itemgetter(*first, *second)(_fire(fis, inputs))
     return _grouped_max(picked, gray_levels, slice(0, len(first)), slice(len(first), None))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_gray_levels(gray_levels) -> None:
+    # A plain int skips the slower isinstance tests: this runs on every call.
+    if type(gray_levels) is not int and not _is_integer(gray_levels):
+        raise EvaluationError(f"gray_levels must be an integer, got {gray_levels!r}")
+    if gray_levels < 2:
+        raise EvaluationError(f"gray_levels must be at least 2, got {gray_levels}")
 
 
 def _grouped_max(acts, gray_levels: int, first: slice, second: slice) -> float:
@@ -651,6 +640,5 @@ def denoise_detector(fis: FuzzySystem, inputs, gray_levels: int = 256) -> float:
     rules 14-26 vote negative."""
     if len(fis.rules) != 26:
         raise EvaluationError(f"denoise detector expects exactly 26 rules, got {len(fis.rules)}")
-    if gray_levels < 2:
-        raise EvaluationError(f"gray_levels must be at least 2, got {gray_levels}")
+    _check_gray_levels(gray_levels)
     return _grouped_max(_fire(fis, inputs), gray_levels, *_DENOISE_GROUPS)

@@ -5,10 +5,9 @@ a degree in [0, 1].  Values outside a function's natural support give 0 (or
 the boundary value for :class:`PiecewiseLinear`, which extends constantly),
 so evaluation is total over the reals.
 
-``__call__`` is the scalar path used for rule antecedents; ``sample`` is the
-vectorized path used to discretize consequents onto grids.  The scalar
-formulas are mirrored verbatim by the code generator, so their operation
-order must not change without updating ``codegen``.
+``__call__`` is the scalar path; rule antecedents run the same formulas as
+emitted by ``_emit.emit_mf``, operation for operation, so the two change
+together.  ``sample`` is the vectorized path that discretizes consequents.
 """
 
 from __future__ import annotations

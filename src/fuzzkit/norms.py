@@ -1,9 +1,10 @@
 """Triangular norms, co-norms, implication and defuzzifier kinds.
 
-Scalar forms drive antecedent evaluation; the array forms drive curve
-aggregation.  The code generator emits the scalar expressions verbatim, so
-each formula's operation order is part of the package contract and must stay
-in lockstep with ``codegen``.
+Each scalar t-norm and s-norm is written once, as a statement template that
+both the compiled rule firing and ``codegen`` emit (``_emit``) and that the
+public ``tnorm``/``snorm`` run compiled; a template's operation order is
+part of the package contract.  The array forms drive curve aggregation and
+round like the scalar forms on [0, 1].
 """
 
 from __future__ import annotations
@@ -52,87 +53,39 @@ class Defuzzifier(Enum):
     LAST_OF_MAXIMA = "last_of_maxima"
 
 
-def _t_min(a, b):
-    return a if a < b else b
-
-
-def _t_prod(a, b):
-    return a * b
-
-
-def _t_luka(a, b):
-    s = a + b - 1.0
-    return s if s > 0.0 else 0.0
-
-
-def _t_drastic(a, b):
-    if a == 1.0:
-        return b
-    if b == 1.0:
-        return a
-    return 0.0
-
-
-def _t_nilpotent(a, b):
-    if a + b > 1.0:
-        return a if a < b else b
-    return 0.0
-
-
-def _t_hamacher(a, b):
-    if a == 0.0 and b == 0.0:
-        return 0.0
-    return a * b / (a + b - a * b)
-
-
-def _s_max(a, b):
-    return a if a > b else b
-
-
-def _s_prob(a, b):
-    return a + b - a * b
-
-
-def _s_bounded(a, b):
-    s = a + b
-    return s if s < 1.0 else 1.0
-
-
-def _s_drastic(a, b):
-    if a == 0.0:
-        return b
-    if b == 0.0:
-        return a
-    return 1.0
-
-
-def _s_nilpotent(a, b):
-    if a + b < 1.0:
-        return a if a > b else b
-    return 1.0
-
-
-def _s_einstein(a, b):
-    return (a + b) / (1.0 + a * b)
-
-
-_TNORMS = {
-    TNorm.MIN: _t_min,
-    TNorm.PROD: _t_prod,
-    TNorm.LUKASIEWICZ: _t_luka,
-    TNorm.DRASTIC: _t_drastic,
-    TNorm.NILPOTENT: _t_nilpotent,
-    TNorm.HAMACHER: _t_hamacher,
+# One statement template per operator: ``{a}`` and ``{b}`` name the operands,
+# ``{out}`` the result and ``{s}`` a temporary.  ``_emit`` formats them into
+# generated code; ``tnorm``/``snorm`` run functions compiled from them once.
+TNORM_TEMPLATES = {
+    TNorm.MIN: "{out} = {a} if {a} < {b} else {b}",
+    TNorm.PROD: "{out} = {a} * {b}",
+    TNorm.LUKASIEWICZ: "{s} = {a} + {b} - 1.0\n{out} = {s} if {s} > 0.0 else 0.0",
+    TNorm.DRASTIC: "{out} = {b} if {a} == 1.0 else ({a} if {b} == 1.0 else 0.0)",
+    TNorm.NILPOTENT: "{out} = ({a} if {a} < {b} else {b}) if {a} + {b} > 1.0 else 0.0",
+    TNorm.HAMACHER: "{out} = 0.0 if {a} == 0.0 and {b} == 0.0 "
+                    "else {a} * {b} / ({a} + {b} - {a} * {b})",
 }
 
-_SNORMS = {
-    SNorm.MAX: _s_max,
-    SNorm.PROB_SUM: _s_prob,
-    SNorm.BOUNDED_SUM: _s_bounded,
-    SNorm.DRASTIC: _s_drastic,
-    SNorm.NILPOTENT: _s_nilpotent,
-    SNorm.EINSTEIN: _s_einstein,
+SNORM_TEMPLATES = {
+    SNorm.MAX: "{out} = {a} if {a} > {b} else {b}",
+    SNorm.PROB_SUM: "{out} = {a} + {b} - {a} * {b}",
+    SNorm.BOUNDED_SUM: "{s} = {a} + {b}\n{out} = {s} if {s} < 1.0 else 1.0",
+    SNorm.DRASTIC: "{out} = {b} if {a} == 0.0 else ({a} if {b} == 0.0 else 1.0)",
+    SNorm.NILPOTENT: "{out} = ({a} if {a} > {b} else {b}) if {a} + {b} < 1.0 else 1.0",
+    SNorm.EINSTEIN: "{out} = ({a} + {b}) / (1.0 + {a} * {b})",
 }
+
+
+def _compile_norms(templates: dict) -> dict:
+    ns: dict = {}
+    for kind, template in templates.items():
+        body = template.format(a="a", b="b", s="s", out="out").replace("\n", "\n    ")
+        exec(f"def {kind.name.lower()}(a, b):\n    {body}\n    return out\n", ns)
+    return {kind: ns[kind.name.lower()] for kind in templates}
+
+
+_TNORMS = _compile_norms(TNORM_TEMPLATES)
+_SNORMS = _compile_norms(SNORM_TEMPLATES)
 
 
 def tnorm(kind: TNorm, a: float, b: float) -> float:

@@ -53,6 +53,42 @@ def bell(x, a, b, c):
     return 1.0 / (1.0 + t ** (2.0 * b))
 
 
+def bell_exp(x, a, b, c):
+    """Generalized bell in the engine's form: exp(2b log t), clamped where
+    ``math.exp`` would overflow."""
+    t = abs((x - c) / a)
+    if t == 0.0:
+        return 1.0
+    z = 2.0 * b * math.log(t)
+    if z >= 709.0:
+        return 0.0
+    if z <= -709.0:
+        return 1.0
+    return 1.0 / (1.0 + math.exp(z))
+
+
+def sigmoid(x, a, c):
+    """Logistic curve with the engine's clamps at +-709."""
+    z = -a * (x - c)
+    if z >= 709.0:
+        return 0.0
+    if z <= -709.0:
+        return 1.0
+    return 1.0 / (1.0 + math.exp(z))
+
+
+def polyline(x, points):
+    """Linear interpolation through ``points``, constant past both ends."""
+    if x <= points[0][0]:
+        return points[0][1]
+    if x >= points[-1][0]:
+        return points[-1][1]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x < x1:
+            return (x - x0) * (y1 - y0) / (x1 - x0) + y0
+    return x  # NaN
+
+
 def logistic(x, a, c):
     z = -a * (x - c)
     if z > 700:
@@ -129,12 +165,25 @@ def maxima_oracle(xs, mus, which):
 # Plain-float Mamdani reference: everything after sampling the term curves
 # is scalar Python arithmetic, written from the operators' definitions.
 
+# Scalar norms written out from their definitions.  Conditionals, not the
+# ``min``/``max`` builtins, pick the operand on ties and NaN, as the engine's
+# scalar forms do, so the two agree bit for bit.
+
+_T_REF = {
+    TNorm.MIN: lambda a, b: a if a < b else b,
+    TNorm.PROD: lambda a, b: a * b,
+    TNorm.LUKASIEWICZ: lambda a, b: a + b - 1.0 if a + b - 1.0 > 0.0 else 0.0,
+    TNorm.DRASTIC: lambda a, b: b if a == 1.0 else (a if b == 1.0 else 0.0),
+    TNorm.NILPOTENT: lambda a, b: (a if a < b else b) if a + b > 1.0 else 0.0,
+    TNorm.HAMACHER: lambda a, b: 0.0 if a == 0.0 and b == 0.0 else a * b / (a + b - a * b),
+}
+
 _S_REF = {
     SNorm.MAX: lambda a, b: a if a > b else b,
     SNorm.PROB_SUM: lambda a, b: a + b - a * b,
-    SNorm.BOUNDED_SUM: lambda a, b: min(a + b, 1.0),
+    SNorm.BOUNDED_SUM: lambda a, b: a + b if a + b < 1.0 else 1.0,
     SNorm.DRASTIC: lambda a, b: b if a == 0.0 else (a if b == 0.0 else 1.0),
-    SNorm.NILPOTENT: lambda a, b: max(a, b) if a + b < 1.0 else 1.0,
+    SNorm.NILPOTENT: lambda a, b: (a if a > b else b) if a + b < 1.0 else 1.0,
     SNorm.EINSTEIN: lambda a, b: (a + b) / (1.0 + a * b),
 }
 
@@ -291,6 +340,46 @@ def it2_firing_oracle(fis: FuzzySystem, inputs) -> tuple:
         lo, hi = bounds(rule.antecedent)
         out.append((rule.weight * lo, rule.weight * hi))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Type-1 firing oracle: every membership kind from the hand-written formulas
+# above, in the engine's IEEE operation order, then the reference norms and
+# strong negation; each rule's degree is scaled by its weight.
+
+def t1_degree(mf, x):
+    if isinstance(mf, Triangular):
+        return tri(x, mf.a, mf.b, mf.c)
+    if isinstance(mf, Trapezoidal):
+        return trap(x, mf.a, mf.b, mf.c, mf.d)
+    if isinstance(mf, Gaussian):
+        return gauss(x, mf.mu, mf.sigma)
+    if isinstance(mf, Singleton):
+        return 1.0 if x == mf.c else 0.0
+    if isinstance(mf, GeneralizedBell):
+        return bell_exp(x, mf.a, mf.b, mf.c)
+    if isinstance(mf, Sigmoid):
+        return sigmoid(x, mf.a, mf.c)
+    assert isinstance(mf, PiecewiseLinear)
+    return polyline(x, mf.points)
+
+
+def t1_truth(fis: FuzzySystem, p, inputs) -> float:
+    """Truth degree of proposition ``p`` of a type-1 system."""
+    if isinstance(p, Relation):
+        return t1_degree(fis.inputs[p.variable].terms[p.term], inputs[p.variable])
+    if isinstance(p, Not):
+        return 1.0 - t1_truth(fis, p.operand, inputs)
+    if isinstance(p, And):
+        op = _T_REF[fis.settings.conjunction]
+    else:
+        op = _S_REF[fis.settings.disjunction]
+    return op(t1_truth(fis, p.left, inputs), t1_truth(fis, p.right, inputs))
+
+
+def t1_firing_oracle(fis: FuzzySystem, inputs) -> tuple:
+    """Rule activations of a type-1 system: weight times truth degree."""
+    return tuple(rule.weight * t1_truth(fis, rule.antecedent, inputs) for rule in fis.rules)
 
 
 # ---------------------------------------------------------------------------

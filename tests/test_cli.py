@@ -98,6 +98,32 @@ def test_eval_bad_assignment_exits_2(tipper_path, capsys):
     assert "name=value" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def robot_path(tmp_path):
+    p = tmp_path / "robot.fcl"
+    p.write_text(corpus.load_text("robot.fcl"))
+    return str(p)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_eval_non_finite_input_exits_2(robot_path, raw, capsys):
+    args = ["eval", robot_path, "front=1", "left=1", f"heading={raw}", "goal=3", "--json"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'heading'" in captured.err and "non-finite" in captured.err
+
+
+def test_eval_json_is_strict_json(robot_path, capsys):
+    def refuse(token):
+        raise ValueError(f"not a JSON value: {token}")
+
+    args = ["eval", robot_path, "front=1", "left=1", "heading=-40", "goal=3", "--json"]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert len(payload["firing"]) == len(corpus.load_system("robot").rules)
+
+
 def test_eval_unknown_file_exits_1(capsys):
     assert main(["eval", "/nonexistent/x.fzl", "a=1"]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import helpers
 from fuzzkit import (And, Defuzzifier, Domain, EngineSettings, EvaluationError,
                      FuzzySystem, Gaussian, Implication, MissingInputError, Not, Or,
                      Relation, Rule, SNorm, SugenoConstant, SugenoLinear,
-                     SystemKind, TNorm, Triangular, Variable, corpus, engine)
+                     SystemKind, TNorm, Triangular, Variable, codegen, corpus, engine)
 from fuzzkit.engine import (defuzzify, eval_proposition, fire_rules,
                             grouped_max_output, infer, infer_mamdani,
                             infer_sugeno, km_reduce)
@@ -61,16 +61,27 @@ def test_rule_weight_scales_activation(tipper):
         assert h == 0.5 * b
 
 
-def test_compiled_firing_matches_tree_walk():
+def test_type1_firing_matches_oracle():
+    # Compiled firing, generated antecedents (inline and with helper
+    # functions) and eval_proposition, each equal to hand-written formulas;
+    # inputs run half a span past the domains.
     rng = random.Random(21)
-    for i in range(25):
+    kinds, norms = set(), set()
+    for i in range(300):
         fis = helpers.random_t1_system(rng, i)
-        for _ in range(20):
-            inputs = helpers.random_inputs(rng, fis)
-            acts = fire_rules(fis, inputs)
-            for rule, act in zip(fis.rules, acts):
-                ref = rule.weight * eval_proposition(rule.antecedent, fis, inputs)
-                assert act == ref, (fis.name, rule)
+        kinds.update(type(mf) for var in fis.inputs.values() for mf in var.terms.values())
+        norms.update((fis.settings.conjunction, fis.settings.disjunction))
+        generated = [codegen.load(codegen.generate(fis, antecedents_only=True, inline_mfs=inline))
+                     for inline in (True, False)]
+        for _ in range(3):
+            inputs = helpers.random_inputs(rng, fis, pad=0.5)
+            want = helpers.t1_firing_oracle(fis, inputs)
+            assert fire_rules(fis, inputs).activations == want, fis.name
+            for fn in generated:
+                assert fn(*inputs.values()) == want, fis.name
+            for rule, act in zip(fis.rules, want):
+                assert rule.weight * eval_proposition(rule.antecedent, fis, inputs) == act
+    assert len(kinds) == 7 and len(norms) == len(TNorm) + len(SNorm)
 
 
 def test_eval_proposition_is_pure(tipper):
@@ -472,6 +483,20 @@ def test_grouped_max_output_rejects_non_integer_indices(tipper, bad):
 def test_denoise_detector_requires_26_rules(tipper):
     with pytest.raises(EvaluationError):
         engine.denoise_detector(tipper, {"service": 5.0, "food": 5.0})
+
+
+@pytest.mark.parametrize("bad", [2.5, 256.0, True, "300", None])
+def test_gray_levels_must_be_an_integer(tipper, bad):
+    # A float used to scale the readout (2.5 gave 1.5 times the range), and
+    # a string or None failed late as a bare TypeError.
+    denoise = corpus.load_system("denoise")
+    pixels = {name: 10.0 for name in denoise.inputs}
+    with pytest.raises(EvaluationError, match="gray_levels"):
+        engine.denoise_detector(denoise, pixels, bad)
+    with pytest.raises(EvaluationError, match="gray_levels"):
+        grouped_max_output(tipper, {"service": 5.0, "food": 5.0}, bad, [0], [2])
+    assert engine.denoise_detector(denoise, pixels, np.int64(16)) == \
+        engine.denoise_detector(denoise, pixels, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Axiom suite and spot values for the t-norm / s-norm families."""
 
+import itertools
+import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import given, strategies as st
 
 from fuzzkit import SNorm, TNorm, snorm, tnorm
 from fuzzkit.norms import Defuzzifier, Implication, implicate, snorm_arrays
+
+import helpers
 
 TOL = 1e-12
 unit = st.floats(0.0, 1.0)
@@ -84,6 +89,18 @@ def test_results_stay_in_unit_interval(a, b):
 @given(unit, unit)
 def test_de_morgan_min_max_exact(a, b):
     assert 1.0 - tnorm(TNorm.MIN, a, b) == snorm(SNorm.MAX, 1.0 - a, 1.0 - b)
+
+
+@pytest.mark.parametrize("kind", [*TNorm, *SNorm], ids=lambda k: f"{type(k).__name__}.{k.name}")
+def test_scalar_forms_match_reference_bits(kind):
+    # The compiled templates against formulas written out in tests/helpers,
+    # bit for bit, on random degrees, signed zeros, 1, a subnormal and NaN.
+    norm, ref = (tnorm, helpers._T_REF) if isinstance(kind, TNorm) else (snorm, helpers._S_REF)
+    rng = random.Random(13)
+    values = [0.0, -0.0, 1.0, 5e-324, math.nan, *(rng.random() for _ in range(30))]
+    for a, b in itertools.product(values, repeat=2):
+        got, want = norm(kind, a, b), ref[kind](a, b)
+        assert struct.pack("<d", got) == struct.pack("<d", want), (a, b)
 
 
 def test_array_forms_match_scalar_forms():
