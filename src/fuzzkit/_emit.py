@@ -1,30 +1,39 @@
-"""Scalar code emission: the one scalar evaluator of rule antecedents.
+"""Scalar code emission: the one scalar evaluator of type-1 inference.
 
-The engine's compiled rule firing, ``engine.eval_proposition`` and the
-standalone code generator all run text written here.  ``emit_antecedents``
-writes the antecedent prologue, for type-1 and interval type-2 systems
-alike: membership degrees of the used terms (``emit_degrees``), then each
-rule's truth degree times its weight.  Norms are formatted from the
-statement templates in ``norms``, their only source.  Membership formulas
-(``emit_mf``) mirror ``mf``'s ``__call__`` operation for operation, so a
-term called directly and a term in emitted code agree bit for bit; changing
-one requires changing the other.
+The engine's compiled rule firing and output stage, ``engine.eval_proposition``
+and the standalone code generator all run text written here:
+``emit_antecedents`` writes the antecedent prologue (membership degrees,
+then each rule's weighted truth degree), for type-1 and interval type-2
+systems alike, and ``emit_outputs`` the type-1 output stage after it.
+Membership formulas, defuzzifiers and, in ``norms``, the norms are
+statement templates, each written once.  Membership formulas mirror
+``mf``'s ``__call__`` operation for operation, so a term called directly
+and a term in emitted code agree bit for bit; changing one requires
+changing the other.
 
-Emitted code references only the names ``exp``, ``log`` and ``abs``; callers
-provide them (``math.exp``/``math.log``/builtin ``abs``, or a
-``from math import ...`` line in standalone text naming what
-``Writer.uses`` recorded).
+A ``Writer`` for standalone text spells tuple constants as literals and
+keeps comments; one with a ``consts`` dict (the engine's) binds them there
+by name, for the exec namespace, and drops comments, since compiling float
+literals is most of what compiling emitted code costs.  Emitted code
+references only ``exp``, ``log``, ``abs``, ``zip`` and ``enumerate``;
+callers provide them (standalone text imports what ``Writer.uses``
+recorded from ``math``).
 """
 
 from __future__ import annotations
 
 import keyword
 
+import numpy as np
+
 from .errors import EvaluationError
 from .mf import (Gaussian, GeneralizedBell, PiecewiseLinear, Sigmoid,
                  Singleton, Trapezoidal, Triangular)
-from .model import And, Not, Or, Relation, SystemKind
-from .norms import SNORM_TEMPLATES, TNORM_TEMPLATES, SNorm, TNorm
+from .model import And, Not, Or, Relation, SugenoConstant, SystemKind
+from .norms import (SNORM_TEMPLATES, TNORM_TEMPLATES, Defuzzifier, Implication, SNorm,
+                    TNorm)
+
+WIDTH = 88
 
 
 def lit(value: float) -> str:
@@ -38,17 +47,45 @@ class Writer:
     """Indentation-aware line collector.
 
     ``uses`` collects the ``math`` names (``exp``, ``log``) that the emitted
-    membership formulas call.
+    membership formulas call.  ``consts`` is ``None`` for standalone text;
+    a dict makes ``bind`` and ``assign`` put tuple constants in it and
+    ``comment`` emit nothing (see the module docstring).
     """
 
-    def __init__(self):
+    def __init__(self, consts: dict | None = None):
         self.lines: list[str] = []
         self.level = 0
         self.uses: set[str] = set()
+        self.consts = consts
         self._counter = 0
 
     def emit(self, text: str = "") -> None:
         self.lines.append(("    " * self.level + text) if text else "")
+
+    def emit_block(self, lines) -> None:
+        """Each of ``lines``, indented by the current level."""
+        indent = "    " * self.level
+        self.lines.extend(indent + line for line in lines)
+
+    def comment(self, text: str) -> None:
+        if self.consts is None:
+            self.emit(f"# {text}")
+
+    def bind(self, name: str, value: tuple) -> str:
+        """How emitted code spells the tuple ``value``: its literal, or
+        ``name`` bound in ``consts``."""
+        if self.consts is None:
+            return repr(value)
+        self.consts[name] = value
+        return name
+
+    def assign(self, name: str, value: tuple) -> None:
+        """``name = value`` for a tuple constant, wrapped at ``WIDTH``; under
+        ``consts`` the tuple is bound there instead."""
+        if self.consts is None:
+            wrap(self, f"{name} = ", repr(value))
+        else:
+            self.consts[name] = value
 
     def sym(self, prefix: str = "_t") -> str:
         self._counter += 1
@@ -56,6 +93,24 @@ class Writer:
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
+
+
+def wrap(w: Writer, head: str, text: str) -> None:
+    # Greedy fill at WIDTH columns, breaking only at the spaces of ``text``
+    # (what textwrap.wrap gives for these literals, at a fraction of its
+    # cost).  ``head`` starts the first line whole, so a break can never land
+    # outside a bracket that ``head`` opens; a word longer than a line stays
+    # whole on its own line.
+    indent = "    " * w.level
+    words = text.split(" ")
+    line = indent + head + words[0]
+    for word in words[1:]:
+        if len(line) + 1 + len(word) <= WIDTH:
+            line += " " + word
+        else:
+            w.lines.append(line)
+            line = indent + "    " + word
+    w.lines.append(line)
 
 
 def sanitize(name: str, taken: set[str], fallback: str = "v") -> str:
@@ -75,97 +130,45 @@ def sanitize(name: str, taken: set[str], fallback: str = "v") -> str:
     return candidate
 
 
+def _logistic(z: str, out: str) -> list[str]:
+    return [f"if {z} >= 709.0:", f"    {out} = 0.0", f"elif {z} <= -709.0:", f"    {out} = 1.0",
+            "else:", f"    {out} = 1.0 / (1.0 + exp({z}))"]
+
+
 def emit_mf(w: Writer, mf, x: str, out: str) -> None:
     """Statements assigning ``out`` = mf(``x``), mirroring ``mf.__call__``."""
-    if isinstance(mf, Triangular):
-        a, b, c = lit(mf.a), lit(mf.b), lit(mf.c)
-        w.emit(f"if {x} == {b}:")
-        w.level += 1
-        w.emit(f"{out} = 1.0")
-        w.level -= 1
-        w.emit(f"elif {x} <= {a} or {x} >= {c}:")
-        w.level += 1
-        w.emit(f"{out} = 0.0")
-        w.level -= 1
-        w.emit(f"elif {x} < {b}:")
-        w.level += 1
-        w.emit(f"{out} = ({x} - {a}) / ({b} - {a})")
-        w.level -= 1
-        w.emit("else:")
-        w.level += 1
-        w.emit(f"{out} = ({c} - {x}) / ({c} - {b})")
-        w.level -= 1
-        return
-    if isinstance(mf, Trapezoidal):
-        a, b, c, d = lit(mf.a), lit(mf.b), lit(mf.c), lit(mf.d)
-        w.emit(f"if {b} <= {x} <= {c}:")
-        w.level += 1
-        w.emit(f"{out} = 1.0")
-        w.level -= 1
-        w.emit(f"elif {x} <= {a} or {x} >= {d}:")
-        w.level += 1
-        w.emit(f"{out} = 0.0")
-        w.level -= 1
-        w.emit(f"elif {x} < {b}:")
-        w.level += 1
-        w.emit(f"{out} = ({x} - {a}) / ({b} - {a})")
-        w.level -= 1
-        w.emit("else:")
-        w.level += 1
-        w.emit(f"{out} = ({d} - {x}) / ({d} - {c})")
-        w.level -= 1
+    if isinstance(mf, (Triangular, Trapezoidal)):
+        a, b = lit(mf.a), lit(mf.b)
+        if isinstance(mf, Triangular):
+            c = d = lit(mf.c)
+            top, fall = f"{x} == {b}", f"({c} - {x}) / ({c} - {b})"
+        else:
+            c, d = lit(mf.c), lit(mf.d)
+            top, fall = f"{b} <= {x} <= {c}", f"({d} - {x}) / ({d} - {c})"
+        w.emit_block([f"if {top}:", f"    {out} = 1.0", f"elif {x} <= {a} or {x} >= {d}:",
+                      f"    {out} = 0.0", f"elif {x} < {b}:",
+                      f"    {out} = ({x} - {a}) / ({b} - {a})", "else:", f"    {out} = {fall}"])
         return
     if isinstance(mf, Gaussian):
         w.uses.add("exp")
-        d = w.sym("_d")
-        w.emit(f"{d} = {x} - {lit(mf.mu)}")
-        w.emit(f"{out} = exp(-({d} * {d}) / "
-               f"(2.0 * {lit(mf.sigma)} * {lit(mf.sigma)}))")
+        d, sigma = w.sym("_d"), lit(mf.sigma)
+        w.emit_block([f"{d} = {x} - {lit(mf.mu)}",
+                      f"{out} = exp(-({d} * {d}) / (2.0 * {sigma} * {sigma}))"])
         return
     if isinstance(mf, Singleton):
         w.emit(f"{out} = 1.0 if {x} == {lit(mf.c)} else 0.0")
         return
     if isinstance(mf, GeneralizedBell):
         w.uses.update(("exp", "log"))
-        t = w.sym("_t")
-        z = w.sym("_z")
-        w.emit(f"{t} = abs(({x} - {lit(mf.c)}) / {lit(mf.a)})")
-        w.emit(f"if {t} == 0.0:")
-        w.level += 1
-        w.emit(f"{out} = 1.0")
-        w.level -= 1
-        w.emit("else:")
-        w.level += 1
-        w.emit(f"{z} = 2.0 * {lit(mf.b)} * log({t})")
-        w.emit(f"if {z} >= 709.0:")
-        w.level += 1
-        w.emit(f"{out} = 0.0")
-        w.level -= 1
-        w.emit(f"elif {z} <= -709.0:")
-        w.level += 1
-        w.emit(f"{out} = 1.0")
-        w.level -= 1
-        w.emit("else:")
-        w.level += 1
-        w.emit(f"{out} = 1.0 / (1.0 + exp({z}))")
-        w.level -= 2
+        t, z = w.sym("_t"), w.sym("_z")
+        w.emit_block([f"{t} = abs(({x} - {lit(mf.c)}) / {lit(mf.a)})", f"if {t} == 0.0:",
+                      f"    {out} = 1.0", "else:", f"    {z} = 2.0 * {lit(mf.b)} * log({t})",
+                      *("    " + line for line in _logistic(z, out))])
         return
     if isinstance(mf, Sigmoid):
         w.uses.add("exp")
         z = w.sym("_z")
-        w.emit(f"{z} = {lit(-mf.a)} * ({x} - {lit(mf.c)})")
-        w.emit(f"if {z} >= 709.0:")
-        w.level += 1
-        w.emit(f"{out} = 0.0")
-        w.level -= 1
-        w.emit(f"elif {z} <= -709.0:")
-        w.level += 1
-        w.emit(f"{out} = 1.0")
-        w.level -= 1
-        w.emit("else:")
-        w.level += 1
-        w.emit(f"{out} = 1.0 / (1.0 + exp({z}))")
-        w.level -= 1
+        w.emit_block([f"{z} = {lit(-mf.a)} * ({x} - {lit(mf.c)})", *_logistic(z, out)])
         return
     if isinstance(mf, PiecewiseLinear):
         # One comparison per breakpoint.  Each segment's rise and run are
@@ -173,34 +176,22 @@ def emit_mf(w: Writer, mf, x: str, out: str) -> None:
         # run time.  NaN fails every comparison and lands in the last branch,
         # whose result is NaN too.
         xs, ys = mf._xs, mf._ys
-        w.emit(f"if {x} <= {lit(xs[0])}:")
-        w.level += 1
-        w.emit(f"{out} = {lit(ys[0])}")
-        w.level -= 1
-        w.emit(f"elif {x} >= {lit(xs[-1])}:")
-        w.level += 1
-        w.emit(f"{out} = {lit(ys[-1])}")
-        w.level -= 1
+        w.emit_block([f"if {x} <= {lit(xs[0])}:", f"    {out} = {lit(ys[0])}",
+                      f"elif {x} >= {lit(xs[-1])}:", f"    {out} = {lit(ys[-1])}"])
         last = len(xs) - 2
         for i in range(last + 1):
             w.emit("else:" if i == last else f"elif {x} < {lit(xs[i + 1])}:")
-            w.level += 1
-            w.emit(f"{out} = ({x} - {lit(xs[i])}) * {lit(ys[i + 1] - ys[i])} / "
+            w.emit(f"    {out} = ({x} - {lit(xs[i])}) * {lit(ys[i + 1] - ys[i])} / "
                    f"{lit(xs[i + 1] - xs[i])} + {lit(ys[i])}")
-            w.level -= 1
         if last < 0:  # a single node: only NaN gets here
-            w.emit("else:")
-            w.level += 1
-            w.emit(f"{out} = {x}")
-            w.level -= 1
+            w.emit_block(["else:", f"    {out} = {x}"])
         return
     raise EvaluationError(f"cannot emit code for membership function {mf!r}")
 
 
 def _emit_norm(w: Writer, template: str, a: str, b: str, out: str) -> None:
     s = w.sym("_s") if "{s}" in template else None
-    for line in template.format(a=a, b=b, s=s, out=out).split("\n"):
-        w.emit(line)
+    w.emit_block(template.format(a=a, b=b, s=s, out=out).split("\n"))
 
 
 def emit_tnorm(w: Writer, kind: TNorm, a: str, b: str, out: str) -> None:
@@ -291,3 +282,249 @@ def emit_antecedents(w: Writer, fis, relations, args: dict,
             exprs.append(expr)
         acts.append(exprs[0] if len(exprs) == 1 else f"({', '.join(exprs)})")
     return acts
+
+
+def implicate_expr(kind: Implication, act: str, curve: str) -> str:
+    # Mirrors norms.implicate: np.minimum(curve, act) / act * curve.
+    return f"{curve} if {curve} < {act} else {act}" if kind is Implication.MIN \
+        else f"{act} * {curve}"
+
+
+def consequent_expr(value, params: dict[str, str]) -> str:
+    if isinstance(value, SugenoConstant):
+        return lit(value.value)
+    parts = [f"{lit(c)} * {params[n]}" for n, c in value.coeffs]
+    parts.append(lit(value.offset))
+    return "(" + " + ".join(parts) + ")"
+
+
+def emit_outputs(w: Writer, fis, lowering, acts, params: dict, zeros) -> tuple:
+    """The type-1 output stage: each output's crisp value into a local, from
+    the rule activation expressions ``acts``; ``params`` holds the input
+    locals linear Sugeno consequents read, and ``zeros`` each output's value
+    when it fired no rule.  Returns the locals and the widths of the run
+    helpers (``emit_run_helper``) the code calls, which the caller defines."""
+    results, run_widths = [], set()
+    for o, ((out_name, var), zero) in enumerate(zip(fis.outputs.items(), zeros)):
+        results.append(f"_out{o}")
+        cons = [(acts[i], row) for i, row in lowering.by_output[o]]
+        if fis.kind is SystemKind.SUGENO:
+            emit_sugeno_output(w, out_name, var, o, cons, params, zero)
+        else:
+            emit_mamdani_output(w, fis.settings, lowering, out_name, var, o, cons,
+                                run_widths, zero)
+    return results, sorted(run_widths)
+
+
+def emit_sugeno_output(w, out_name, var, o, cons, params, zero) -> None:
+    # cons: (activation expression, term row) per consequent, in rule order.
+    w.comment(f"output {out_name}")
+    w.emit(f"_num{o} = 0.0")
+    w.emit(f"_den{o} = 0.0")
+    terms = tuple(var.terms.values())
+    for act, row in cons:
+        w.emit(f"_num{o} = _num{o} + {act} * {consequent_expr(terms[row], params)}")
+        w.emit(f"_den{o} = _den{o} + {act}")
+    w.emit(f"_out{o} = _num{o} / _den{o} if _den{o} > 0.0 else {zero}")
+
+
+def emit_mamdani_output(w, settings, lowering, out_name, var, o, cons, run_widths,
+                        zero) -> None:
+    """Aggregate and defuzzify one Mamdani output into ``_out{o}``: in one
+    pass over grid runs under max aggregation with the centroid
+    (``emit_run_centroid``), else by filling a list of aggregated degrees
+    over each fired term's support and defuzzifying it (``_DEFUZZIFY``).
+    ``cons`` pairs each consequent's activation expression with its term
+    row, in rule order; a curve without mass gives ``zero``."""
+    resolution = settings.resolution
+    grouped = settings.aggregation is SNorm.MAX
+    fused = grouped and settings.defuzzifier is Defuzzifier.CENTROID
+
+    if grouped:
+        # Terms reached by any rule, in declaration order; each contributes
+        # its strongest activation (exact under max-aggregation).
+        terms = sorted({t for _, t in cons})
+    else:
+        terms = list(dict.fromkeys(t for _, t in cons))
+
+    if fused:
+        w.comment(f"output {out_name}: centroid over {resolution} grid points, "
+                  f"one helper call per run of points the same terms cover")
+    else:
+        w.comment(f"output {out_name}: grid of {resolution} points with "
+                  f"pre-sampled term curves (trimmed to their nonzero support)")
+        w.assign(f"_xs{o}", tuple(lowering.grids[o].tolist()))
+        col_names, col_starts = {}, {}
+        for k, t in enumerate(terms):
+            col = lowering.curves[0, o, t].tolist()
+            live = [j for j, c in enumerate(col) if c != 0.0]
+            if not live:
+                col_names[t] = None  # curve is identically zero on the grid
+                continue
+            col_names[t] = f"_col{o}_{k}"
+            col_starts[t] = live[0]
+            w.assign(col_names[t], tuple(col[live[0]:live[-1] + 1]))
+
+    if grouped:
+        strengths = {t: f"_s{o}_{k}" for k, t in enumerate(terms)}
+        names = list(var.terms)
+        for t in terms:
+            note = "" if w.consts is not None else f"  # strength of {names[t]}"
+            w.emit(f"{strengths[t]} = 0.0{note}")
+        for act, t in cons:
+            w.emit_block([f"if {act} > {strengths[t]}:", f"    {strengths[t]} = {act}"])
+
+    if fused:
+        emit_run_centroid(w, settings.implication, lowering, o,
+                          [(strengths[t], t) for t in terms], run_widths)
+        w.emit(f"_out{o} = _num{o} / _den{o} if _den{o} > 0.0 else {zero}")
+        return
+
+    # Zero-strength terms leave the curve untouched (implication yields 0,
+    # aggregation with 0 is the identity), so they are skipped outright.
+    w.emit(f"_mus{o} = [0.0] * {resolution}")
+    for act, t in [(strengths[t], t) for t in terms] if grouped else cons:
+        if col_names[t] is None:
+            continue
+        offset = f", {col_starts[t]}" if col_starts[t] else ""
+        w.emit_block([f"if {act} > 0.0:", f"    for _j, _c in enumerate({col_names[t]}{offset}):",
+                      f"        _v = {implicate_expr(settings.implication, act, '_c')}"])
+        w.level += 2
+        if grouped:
+            w.emit_block([f"if _v > _mus{o}[_j]:", f"    _mus{o}[_j] = _v"])
+        else:
+            w.emit(f"_mu = _mus{o}[_j]")
+            emit_snorm(w, settings.aggregation, "_mu", "_v", "_mu")
+            w.emit(f"_mus{o}[_j] = _mu")
+        w.level -= 2
+    w.emit_block(_DEFUZZIFY[settings.defuzzifier].format(o=o, zero=zero).split("\n"))
+
+
+_MAXIMA = """_top{o} = 0.0
+for _v in _mus{o}:
+    if _v > _top{o}:
+        _top{o} = _v
+if _top{o} > 0.0:
+"""
+_NO_MASS = """
+else:
+    _out{o} = {zero}"""
+# Each defuzzifier over the aggregated degrees ``_mus{o}`` on the grid
+# ``_xs{o}``, into ``_out{o}``; ``{zero}`` where the curve has no mass.
+_DEFUZZIFY = {
+    Defuzzifier.CENTROID: """_num{o} = 0.0
+_den{o} = 0.0
+for _x, _v in zip(_xs{o}, _mus{o}):
+    _den{o} = _den{o} + _v
+    _num{o} = _num{o} + _x * _v
+_out{o} = _num{o} / _den{o} if _den{o} > 0.0 else {zero}""",
+    Defuzzifier.BISECTOR: """_tot{o} = 0.0
+for _v in _mus{o}:
+    _tot{o} = _tot{o} + _v
+if _tot{o} > 0.0:
+    _half = 0.5 * _tot{o}
+    _acc = 0.0
+    for _x, _v in zip(_xs{o}, _mus{o}):
+        _acc = _acc + _v
+        if _acc >= _half:
+            _out{o} = _x
+            break""" + _NO_MASS,
+    Defuzzifier.FIRST_OF_MAXIMA: _MAXIMA + """    for _x, _v in zip(_xs{o}, _mus{o}):
+        if _v == _top{o}:
+            _out{o} = _x
+            break""" + _NO_MASS,
+    Defuzzifier.LAST_OF_MAXIMA: _MAXIMA + """    for _x, _v in zip(_xs{o}, _mus{o}):
+        if _v == _top{o}:
+            _out{o} = _x""" + _NO_MASS,
+    Defuzzifier.MEAN_OF_MAXIMA: _MAXIMA + """    _sum = 0.0
+    _cnt = 0
+    for _x, _v in zip(_xs{o}, _mus{o}):
+        if _v == _top{o}:
+            _sum = _sum + _x
+            _cnt += 1
+    _out{o} = _sum / _cnt""" + _NO_MASS,
+}
+
+
+def grid_runs(lowering, o: int, rows) -> list:
+    """Maximal runs of output ``o``'s grid where the same term rows of
+    ``rows`` are positive, those covered by any: per run, the positions in
+    ``rows`` of its terms and its ``(x, column values...)`` points.  Split
+    once per lowering with numpy and kept in ``lowering.runs``."""
+    key = (o, tuple(rows))
+    runs = lowering.runs.get(key)
+    if runs is None:
+        cols = lowering.curves[0, o, list(rows)]
+        positive = cols > 0.0
+        starts = [0, *(np.flatnonzero((positive[:, 1:] != positive[:, :-1]).any(axis=0))
+                       + 1).tolist()]
+        xs, cols = lowering.grids[o].tolist(), cols.tolist()
+        runs = []
+        for lo, hi, cover in zip(starts, starts[1:] + [len(xs)], positive[:, starts].T.tolist()):
+            run = tuple(k for k, p in enumerate(cover) if p)
+            if run:
+                runs.append((run, tuple(zip(xs[lo:hi], *(cols[k][lo:hi] for k in run)))))
+        lowering.runs[key] = runs
+    return runs
+
+
+def emit_run_centroid(w, implication, lowering, o, strengths, run_widths) -> None:
+    """Max-aggregate and sum the centroid of output ``o`` in one pass.
+
+    ``strengths`` pairs each reached term's strength local with its row, in
+    declaration order.  Each of the ``grid_runs``, entered only when one of
+    its terms fired, is one call to the helper for its width
+    (``emit_run_helper``; the width goes into ``run_widths``) over its
+    points, or straight-line code for a single point.  Skipped points would
+    add aggregated degree 0.0, and both sums start at 0.0, so skipping them
+    leaves the left-to-right sums bit for bit unchanged.
+    """
+    w.emit(f"_num{o} = 0.0")
+    w.emit(f"_den{o} = 0.0")
+    for n, (run, pts) in enumerate(grid_runs(lowering, o, [t for _, t in strengths])):
+        acts = [strengths[k][0] for k in run]
+        w.emit(f"if {' or '.join(acts)}:")  # strengths are never negative or NaN
+        w.level += 1
+        if len(pts) > 1:
+            run_widths.add(len(run))
+            wrap(w, f"_den{o}, _num{o} = _run{len(run)}(",
+                 f"{w.bind(f'_p{o}_{n}', pts)}, {', '.join(acts)}, _den{o}, _num{o})")
+        else:
+            (x, *cols), = pts
+            for i, c in enumerate(cols):
+                w.emit(f"{'_w' if i else '_v'} = {implicate_expr(implication, acts[i], lit(c))}")
+                if i:
+                    w.emit("_v = _w if _w > _v else _v")
+            w.emit(f"_den{o} += _v")
+            w.emit(f"_num{o} += {lit(x)} * _v")
+        w.level -= 1
+
+
+def emit_run_helper(w, implication, k) -> None:
+    """Nested helper ``_run{k}(points, s_0, ..., s_{k-1}, den, num)`` that adds
+    the implicated, max-combined degrees of a run covered by ``k`` terms to
+    the centroid sums and returns ``(den, num)``.
+
+    A run of two terms often sees only one of them fired; ``_run2`` then
+    walks a loop that implicates that term's column alone.  The other term
+    implicates to 0.0 (under MIN and PROD alike) and ``max(v, 0.0)`` is ``v``
+    for ``v >= 0``, so the sums get the same bits the general loop would add.
+    """
+    ss = [f"_s{i}" for i in range(k)]
+
+    def loop(terms, indent):
+        body = [f"for _x, {', '.join(f'_c{i}' for i in range(k))} in _pts:"]
+        for n, i in enumerate(terms):
+            shaped = implicate_expr(implication, ss[i], f"_c{i}")
+            body.append(f"    {'_w' if n else '_v'} = {shaped}")
+            if n:
+                body.append("    _v = _w if _w > _v else _v")
+        return [indent + line for line in body + ["    _den += _v", "    _num += _x * _v"]]
+
+    lines = [f"def _run{k}(_pts, {', '.join(ss)}, _den, _num):"]
+    if k == 2:
+        lines += ["    if not _s1:", *loop([0], " " * 8), "    elif not _s0:",
+                  *loop([1], " " * 8), "    else:", *loop(range(2), " " * 8)]
+    else:
+        lines += loop(range(k), "    ")
+    w.emit_block(lines + ["    return _den, _num"])

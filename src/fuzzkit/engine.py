@@ -1,24 +1,24 @@
 """Inference engines: Mamdani, Sugeno and interval type-2 Mamdani.
 
 Each system is lowered once (``_lower``, cached per system): the antecedent
-terms it uses, one consequent list over all outputs, the term curves of all
-outputs sampled once into one stacked matrix, and a compiled rule-firing
-function that type-1 and interval type-2 systems alike run; it also takes
-each input from the caller's dict through ``float()`` (``_fire``).  Inference,
-aggregation and ``codegen`` all read that one lowering.  Rule firing and
-``eval_proposition`` run scalar code written by ``_emit``, as generated code
-does, and every defuzzification goes through ``_defuzzify``.  Result
-objects fill their ``__dict__`` at once, not field by field.
-
-One Mamdani call shapes the whole matrix by the rule activations, reduces it
-with the aggregation s-norm and defuzzifies every output.  Grid sums run
-left to right along each row (``np.add.accumulate``, which is ``np.cumsum``)
-so that code ``codegen`` emits, accumulating in plain Python loops,
-reproduces the interpreter bit for bit.
+terms it uses, its consequents, and the term curves of all outputs sampled
+into one stacked matrix.  Two backends read that lowering.  The scalar one
+is code ``_emit`` writes, compiled here on first use: ``fire``, the rule
+firing (``_fire``), and for type-1 systems ``outputs``, the output stage
+``codegen.generate`` writes after the antecedents.  Type-1 ``infer`` runs
+the two and packages the result, so it computes what generated code
+computes; an output that fired no rule comes back from the stage's
+zero-fire branch as ``None`` and is flagged ``degenerate``.  The array
+backend is numpy over the term matrix (``_aggregate``, ``_defuzzify``): it
+serves aggregated curves, computed only when a result's ``aggregated`` is
+read, interval type-2 inference and public ``defuzzify``.  Grid sums run
+left to right (``np.add.accumulate``), the order of the emitted left folds,
+so the backends agree bit for bit on finite inputs.
 
 All entry points are pure: they never mutate the system or the inputs, so a
-validated system can serve concurrent callers.  The per-system lowering
-cache is a benign-race memo (a redundant fill computes identical arrays).
+validated system can serve concurrent callers.  The lowering cache, its
+compiled functions, lazily computed curves and the ``km_reduce`` grid memo
+are benign-race memos (a redundant fill computes identical values).
 """
 
 from __future__ import annotations
@@ -27,15 +27,15 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _emit
 from .errors import EvaluationError, MissingInputError, ModelError
-from .model import (FuzzySystem, Proposition, SugenoConstant, SystemKind, Variable,
-                    _relations)
-from .norms import Defuzzifier, SNorm, implicate, snorm_arrays
+from .model import FuzzySystem, Proposition, SystemKind, Variable, _relations
+from .norms import Defuzzifier, Implication, SNorm, implicate, snorm_arrays
 
 @dataclass(frozen=True)
 class FiringVector:
@@ -83,16 +83,19 @@ class InferenceResult:
     """Outcome of one inference run.
 
     ``crisp`` maps each output name to its defuzzified value.  ``degenerate``
-    lists outputs whose aggregated curve was identically zero (their crisp
-    value is the zero-fire fallback).  Type-1 runs fill ``firing`` and, for
-    Mamdani, ``aggregated``; interval type-2 runs fill ``firing_intervals``,
-    ``intervals`` (the type-reduced [y_left, y_right] per output) and band
-    curves in ``aggregated``.
+    lists the outputs that fired no rule, under every defuzzifier, whose
+    crisp value is the zero-fire fallback; for type-1 systems the emitted
+    output stage decides it, as in generated code.  Type-1 runs fill
+    ``firing``; for Mamdani, ``aggregated`` is a read-only mapping of each
+    output's ``SampledCurve``, computed on first access from the stored
+    firing and pickled as a plain dict.  Interval type-2 runs fill
+    ``firing_intervals``, ``intervals`` (the type-reduced [y_left, y_right]
+    per output) and a dict of band curves in ``aggregated``.
     """
 
     crisp: dict
     firing: FiringVector | None
-    aggregated: dict | None
+    aggregated: Mapping | None
     degenerate: tuple[str, ...] = ()
     intervals: dict | None = None
     firing_intervals: tuple | None = None
@@ -101,6 +104,40 @@ class InferenceResult:
                  firing_intervals=None):
         self.__dict__.update(crisp=crisp, firing=firing, aggregated=aggregated, degenerate=degenerate,
                              intervals=intervals, firing_intervals=firing_intervals)
+
+
+class _LazyCurves(Mapping):
+    """``InferenceResult.aggregated`` of a type-1 Mamdani run: ``_aggregate``
+    runs over the stored activations on first access.  Compares, prints and
+    pickles as the dict it stands for."""
+
+    __slots__ = ("_fis", "_acts", "_curves")
+
+    def __init__(self, fis: FuzzySystem, acts: tuple):
+        self._fis, self._acts, self._curves = fis, acts, None
+
+    def _dict(self) -> dict:
+        curves = self._curves
+        if curves is None:
+            agg = _aggregate(self._fis, (self._acts,))[0]
+            curves = self._curves = dict(zip(self._fis.outputs,
+                                             map(SampledCurve, _lower(self._fis).grids, agg)))
+        return curves
+
+    def __getitem__(self, name):
+        return self._dict()[name]
+
+    def __iter__(self):
+        return iter(self._fis.outputs)
+
+    def __len__(self) -> int:
+        return len(self._fis.outputs)
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+    def __reduce__(self):
+        return dict, (self._dict(),)
 
 
 def _input_values(fis: FuzzySystem, inputs) -> dict:
@@ -150,44 +187,49 @@ class _Lowering:
     order, ``width`` being the largest term count of an output, and
     ``by_output`` the same pairs per output as ``(rule index, term)``, for
     the paths that work one output at a time.  A Mamdani system has one
-    ``(outputs, resolution)`` array of ``grids`` (``moments`` stacks ones on
-    it) and one ``(bands, outputs, width, resolution)`` term-curve matrix
-    ``curves``, all read-only: one band for type-1, lower and upper for IT2,
-    zero rows padding outputs with fewer terms; an IT2 system also has
-    ``km_grids``, each grid's type-reduction constants (``_km_grid``).
-    ``fire`` (rule activations, ``(lower, upper)`` pairs for IT2, from a
-    dict of inputs) compiles on first use (``_fire``), so code generation
-    alone never compiles it.
+    ``(outputs, resolution)`` array of ``grids`` and one ``(bands, outputs,
+    width, resolution)`` term-curve matrix ``curves``, both read-only: one
+    band for type-1, lower and upper for IT2, zero rows padding outputs with
+    fewer terms; an IT2 system also has ``km_grids``, each grid's
+    type-reduction constants (``_km_grid``).  ``runs`` memoizes
+    ``_emit.grid_runs``.  ``fire`` (rule activations, ``(lower, upper)``
+    pairs for IT2, from a dict of inputs) and ``outputs`` compile on first
+    use, so code generation alone never compiles them.
     """
 
     relations: tuple
     consequents: tuple
     by_output: tuple
     grids: np.ndarray | None = None
-    moments: np.ndarray | None = None
     curves: np.ndarray | None = None
     km_grids: tuple | None = None
+    runs: dict = field(default_factory=dict)
     fire: object = None
+    outputs: object = None
 
 
-def _emit_head(fis: FuzzySystem):
-    """A ``Writer`` opening ``def _fire(_values)``, which takes each input
-    from the dict through ``float()``, and the locals holding the inputs."""
-    w = _emit.Writer()
-    w.emit("def _fire(_values):")
+def _emit_head(fis: FuzzySystem, head: str = "_fire(_values)", convert: bool = True,
+               consts: dict | None = None):
+    """A ``Writer`` opening ``def {head}``, which takes each input from the
+    dict ``_values`` through ``float()`` unless not ``convert``, and the
+    locals holding the inputs."""
+    w = _emit.Writer(consts)
+    w.emit(f"def {head}:")
     w.level += 1
     args = {}
-    for i, name in enumerate(fis.inputs):
+    for i, name in enumerate(fis.inputs if convert else ()):
         args[name] = f"_x{i}"
         w.emit(f"_x{i} = _float(_values[{name!r}])")
     return w, args
 
 
-def _exec_emitted(w: _emit.Writer, filename: str):
-    """Compile ``_emit_head``'s function with the names emitted code uses."""
-    ns = {"exp": math.exp, "log": math.log, "abs": abs, "_float": float, "__builtins__": {}}
+def _exec_emitted(w: _emit.Writer, filename: str, name: str = "_fire"):
+    """Compile the function ``name`` that ``w`` holds, with the names emitted
+    code uses and the constants ``w`` bound."""
+    ns = {"exp": math.exp, "log": math.log, "abs": abs, "_float": float, "zip": zip,
+          "enumerate": enumerate, "__builtins__": {}, **(w.consts or {})}
     exec(compile(w.text(), filename, "exec"), ns)
-    return ns["_fire"]
+    return ns[name]
 
 
 def _compile_fire(fis: FuzzySystem):
@@ -199,6 +241,34 @@ def _compile_fire(fis: FuzzySystem):
     w.emit(f"return ({', '.join(acts)}{',' if len(acts) == 1 else ''})")
     lowering.fire = _exec_emitted(w, "<rule firing>")
     return lowering.fire
+
+
+def _compile_outputs(fis: FuzzySystem):
+    """Specialize the output stage of a type-1 system into its lowering's
+    ``outputs(values, *activations)``: ``_emit.emit_outputs``, returning the
+    crisp values with ``None`` for each output that fired no rule.  Linear
+    Sugeno consequents take their inputs from ``values``.  Constants and run
+    helpers are bound as names, not spelled as literals and nested defs."""
+    lowering = _lower(fis)
+    acts = [f"_f{i}" for i in range(len(fis.rules))]
+    w, args = _emit_head(fis, f"_outputs(_values, {', '.join(acts)})",
+                         fis.kind is SystemKind.SUGENO, {})
+    results, run_widths = _emit.emit_outputs(w, fis, lowering, acts, args,
+                                             ["None"] * len(fis.outputs))
+    w.emit(f"return ({', '.join(results)},)")
+    for k in run_widths:
+        w.consts[f"_run{k}"] = _run_helper(fis.settings.implication, k)
+    lowering.outputs = _exec_emitted(w, "<output stage>", "_outputs")
+    return lowering.outputs
+
+
+@functools.cache
+def _run_helper(implication: Implication, k: int):
+    """``_emit.emit_run_helper``'s function, compiled once per process for
+    every output stage that calls it (generated code nests its own copy)."""
+    w = _emit.Writer()
+    _emit.emit_run_helper(w, implication, k)
+    return _exec_emitted(w, "<run helper>", f"_run{k}")
 
 
 def _lower(fis: FuzzySystem) -> _Lowering:
@@ -216,21 +286,20 @@ def _lower(fis: FuzzySystem) -> _Lowering:
                             for i, rule in enumerate(fis.rules) for rel in rule.consequents)
         by_output = tuple(tuple((i, s - o * width) for i, s in consequents if s // width == o)
                           for o in range(len(outputs)))
-        grids = moments = curves = km_grids = None
+        grids = curves = km_grids = None
         if fis.kind is not SystemKind.SUGENO:
             grids = np.array([var.domain.grid(fis.settings.resolution) for var in outputs])
-            moments = np.stack((np.ones_like(grids), grids))
             bounds = (None,) if fis.kind is SystemKind.MAMDANI else ("lower", "upper")
             curves = np.zeros((len(bounds), len(grids), width, grids.shape[1]))
             for (b, bound), (o, var) in itertools.product(enumerate(bounds), enumerate(outputs)):
                 for t, mf in enumerate(var.terms.values()):
                     curves[b, o, t] = (getattr(mf, bound) if bound else mf).sample(grids[o])
-            for a in (grids, moments, curves):
+            for a in (grids, curves):
                 a.setflags(write=False)
             if fis.kind is SystemKind.MAMDANI_IT2:
                 km_grids = tuple(map(_km_grid, grids))
         lowering = cache["lowering"] = _Lowering(relations, consequents, by_output, grids,
-                                                 moments, curves, km_grids)
+                                                 curves, km_grids)
     return lowering
 
 
@@ -307,8 +376,8 @@ def defuzzify(kind: Defuzzifier, xs: np.ndarray, mus: np.ndarray) -> float:
     ascending grid order (``cumsum`` totals) to stay bit-compatible with
     generated code.
 
-    Input contract: two 1-D arrays of equal, nonzero length; anything else
-    raises ``EvaluationError``.
+    Input contract: two 1-D arrays of equal, nonzero length, and finite
+    memberships; anything else raises ``EvaluationError``.
     """
     xs = np.asarray(xs, dtype=float)
     mus = np.asarray(mus, dtype=float)
@@ -316,6 +385,8 @@ def defuzzify(kind: Defuzzifier, xs: np.ndarray, mus: np.ndarray) -> float:
         raise EvaluationError("defuzzify needs two 1-D arrays of equal length")
     if len(xs) == 0:
         raise EvaluationError("defuzzify needs a nonempty grid")
+    if not np.isfinite(mus).all():
+        raise EvaluationError("defuzzify needs finite memberships")
     crisp, = _defuzzify(kind, np.stack((np.ones_like(xs), xs))[:, None], mus[None])
     return 0.5 * (float(xs[0]) + float(xs[-1])) if crisp is None else crisp
 
@@ -323,8 +394,8 @@ def defuzzify(kind: Defuzzifier, xs: np.ndarray, mus: np.ndarray) -> float:
 def _defuzzify(kind: Defuzzifier, moments: np.ndarray, rows: np.ndarray) -> list:
     """Crisp value of each ``(rows, resolution)`` curve on its grid, or
     ``None`` where the row has no mass.  ``moments`` stacks ones on the
-    grids, as ``_Lowering.moments`` does.  The mass is the row total for the
-    centroid and bisector, the row maximum otherwise; a NaN mass is mass."""
+    grids.  The mass is the row total for the centroid and bisector, the row
+    maximum otherwise; a NaN mass is mass."""
     if kind is Defuzzifier.CENTROID:  # one accumulate; 1.0 * mu is exact
         dens, nums = np.add.accumulate(moments * rows, axis=-1)[..., -1].tolist()
         return [None if den <= 0.0 else num / den for den, num in zip(dens, nums)]
@@ -357,55 +428,33 @@ def _zero_fire_value(fis: FuzzySystem, name: str, var: Variable) -> float:
     return fis.zero_fire_defaults.get(name, var.domain.midpoint)
 
 
+def _infer_t1(fis: FuzzySystem, inputs) -> InferenceResult:
+    """Type-1 inference: the compiled firing, then the compiled output stage."""
+    lowering = _lower(fis)
+    acts = _fire(fis, inputs)
+    values = (lowering.outputs or _compile_outputs(fis))(inputs, *acts)
+    crisp = dict(zip(fis.outputs, values))
+    degenerate = ()
+    if None in values:
+        degenerate = tuple(name for name, value in crisp.items() if value is None)
+        for name in degenerate:
+            crisp[name] = _zero_fire_value(fis, name, fis.outputs[name])
+    aggregated = None if fis.kind is SystemKind.SUGENO else _LazyCurves(fis, acts)
+    return InferenceResult(crisp, FiringVector(acts), aggregated, degenerate)
+
+
 def infer_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
     """Full Mamdani pipeline: fire, implicate, aggregate, defuzzify."""
     if fis.kind is not SystemKind.MAMDANI:
         raise EvaluationError(f"infer_mamdani requires a Mamdani system, got {fis.kind.value}")
-    firing = FiringVector(_fire(fis, inputs))
-    lowering = _lower(fis)
-    agg = _aggregate(fis, (firing.activations,))[0]
-    values = _defuzzify(fis.settings.defuzzifier, lowering.moments, agg)
-    crisp, aggregated, degenerate = {}, {}, []
-    for (name, var), xs, mus, value in zip(fis.outputs.items(), lowering.grids, agg, values):
-        aggregated[name] = SampledCurve(xs, mus)
-        if value is None:
-            crisp[name] = _zero_fire_value(fis, name, var)
-            degenerate.append(name)
-        else:
-            crisp[name] = value
-    return InferenceResult(crisp, firing, aggregated, tuple(degenerate))
-
-
-def _sugeno_value(consequent, values: dict) -> float:
-    if isinstance(consequent, SugenoConstant):
-        return consequent.value
-    acc = None
-    for name, coeff in consequent.coeffs:
-        part = coeff * values[name]
-        acc = part if acc is None else acc + part
-    return consequent.offset if acc is None else acc + consequent.offset
+    return _infer_t1(fis, inputs)
 
 
 def infer_sugeno(fis: FuzzySystem, inputs) -> InferenceResult:
     """Sugeno pipeline: activation-weighted average of crisp consequents."""
     if fis.kind is not SystemKind.SUGENO:
         raise EvaluationError(f"infer_sugeno requires a Sugeno system, got {fis.kind.value}")
-    values = _input_values(fis, inputs)
-    activations = _fire(fis, values)
-    crisp, degenerate = {}, []
-    for (name, var), consequents in zip(fis.outputs.items(), _lower(fis).by_output):
-        terms = tuple(var.terms.values())
-        num = den = 0.0
-        for i, row in consequents:
-            act = activations[i]
-            num = num + act * _sugeno_value(terms[row], values)
-            den = den + act
-        if den <= 0.0:
-            crisp[name] = _zero_fire_value(fis, name, var)
-            degenerate.append(name)
-        else:
-            crisp[name] = num / den
-    return InferenceResult(crisp, FiringVector(activations), None, tuple(degenerate))
+    return _infer_t1(fis, inputs)
 
 
 def _km_grid(xs) -> tuple:
@@ -540,7 +589,14 @@ def km_reduce(xs, lower, upper) -> tuple[float, float]:
         x = float(xs[0])
         return (x, x)
     mid = 0.5 * (float(xs[0]) + float(xs[-1]))
-    return _km_bounds(_km_grid(xs), np.array((lower, upper))) or (mid, mid)
+    return _km_bounds(_km_grid_of(xs.tobytes()), np.array((lower, upper))) or (mid, mid)
+
+
+@functools.lru_cache(maxsize=1)
+def _km_grid_of(key: bytes) -> tuple:
+    """``_km_grid`` of the grid whose float64 bytes are ``key``: a one-entry
+    memo, so repeated ``km_reduce`` calls on one grid share its constants."""
+    return _km_grid(np.frombuffer(key))
 
 
 def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
@@ -577,11 +633,9 @@ def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
 
 def infer(fis: FuzzySystem, inputs) -> InferenceResult:
     """Run the pipeline matching the system's kind."""
-    if fis.kind is SystemKind.MAMDANI:
-        return infer_mamdani(fis, inputs)
-    if fis.kind is SystemKind.SUGENO:
-        return infer_sugeno(fis, inputs)
-    return infer_it2_mamdani(fis, inputs)
+    if fis.kind is SystemKind.MAMDANI_IT2:
+        return infer_it2_mamdani(fis, inputs)
+    return _infer_t1(fis, inputs)
 
 
 def grouped_max_output(fis: FuzzySystem, inputs, gray_levels: int,

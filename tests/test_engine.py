@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -173,6 +174,19 @@ def test_defuzzify_rejects_contract_breach(breach):
             defuzzify(kind, *args)
 
 
+@pytest.mark.parametrize("kind", list(Defuzzifier))
+def test_defuzzify_rejects_non_finite_memberships(kind):
+    # Every defuzzifier refuses NaN and infinite degrees with EvaluationError
+    # (the maxima kinds used to raise a bare IndexError on NaN).
+    xs = np.array([0.0, 1.0, 2.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        for at in range(3):
+            mus = np.array([0.25, 0.5, 0.25])
+            mus[at] = bad
+            with pytest.raises(EvaluationError, match="finite"):
+                defuzzify(kind, xs, mus)
+
+
 # ---------------------------------------------------------------------------
 # Mamdani
 
@@ -315,10 +329,117 @@ def test_aggregated_curves_are_read_only_on_their_grids():
                         arr[0] = 0.5
 
 
+def test_emitted_pipeline_matches_numpy_backend():
+    # infer runs the emitted output stage; the numpy array backend
+    # (_aggregate + _defuzzify) must give the same crisp values and flags,
+    # compared with ==, over every aggregation, implication and defuzzifier.
+    rng = random.Random(1111)
+    combos = list(itertools.product(SNorm, Implication, Defuzzifier))
+    degenerate = 0
+    for k in range(300):
+        base = helpers.random_t1_system(rng, 3 * k)  # index % 3 == 0: Mamdani
+        agg, imp, defuzz = combos[k % len(combos)]
+        fis = FuzzySystem(base.name, base.kind, base.inputs, base.outputs, base.rules,
+                          dataclasses.replace(base.settings, aggregation=agg,
+                                              implication=imp, defuzzifier=defuzz))
+        lowering = engine._lower(fis)
+        moments = np.stack((np.ones_like(lowering.grids), lowering.grids))
+        for _ in range(4):
+            res = infer(fis, helpers.random_inputs(rng, fis, pad=0.5))
+            curves = engine._aggregate(fis, (res.firing.activations,))[0]
+            values = engine._defuzzify(defuzz, moments, curves)
+            want = {name: fis.zero_fire_defaults.get(name, var.domain.midpoint)
+                    if value is None else value
+                    for (name, var), value in zip(fis.outputs.items(), values)}
+            assert res.crisp == want, (fis.settings, res.firing)
+            assert res.degenerate == tuple(name for name, value in zip(fis.outputs, values)
+                                           if value is None)
+            degenerate += len(res.degenerate)
+    assert degenerate > 0
+
+
+@pytest.mark.parametrize("defuzz", list(Defuzzifier))
+def test_zero_fire_branch_of_every_defuzzifier_reports_degenerate(tipper, defuzz):
+    # NaN inputs fire every tipper rule at NaN, which every aggregation skips:
+    # each defuzzifier's zero-fire branch gives the fallback, flagged
+    # degenerate, and generated code returns the same value.
+    for agg in SNorm:
+        fis = FuzzySystem(tipper.name, tipper.kind, tipper.inputs, tipper.outputs,
+                          tipper.rules, dataclasses.replace(tipper.settings, aggregation=agg,
+                                                            defuzzifier=defuzz))
+        res = infer(fis, {"service": math.nan, "food": math.nan})
+        assert all(math.isnan(a) for a in res.firing)
+        assert res.crisp == {"tip": 15.0} and res.degenerate == ("tip",)
+        assert codegen.load(codegen.generate(fis))(math.nan, math.nan) == 15.0
+
+
+def test_aggregated_is_computed_on_first_read_only(monkeypatch, tipper):
+    calls = []
+    aggregate = engine._aggregate
+
+    def counting(fis, bands):
+        calls.append(fis)
+        return aggregate(fis, bands)
+
+    monkeypatch.setattr(engine, "_aggregate", counting)
+    res = infer(tipper, {"service": 3.0, "food": 8.0})
+    assert calls == [] and list(res.aggregated) == ["tip"] and len(res.aggregated) == 1
+    curve = res.aggregated["tip"]
+    assert res.aggregated["tip"] is curve and len(calls) == 1
+    want = aggregate(tipper, (res.firing.activations,))[0, 0]
+    assert curve.mus.tobytes() == want.tobytes()
+
+
+def test_aggregated_mapping_is_read_only_and_equals_its_dict(tipper):
+    res = infer(tipper, {"service": 3.0, "food": 8.0})
+    agg = res.aggregated
+    with pytest.raises(TypeError):
+        agg["tip"] = None
+    with pytest.raises(TypeError):
+        del agg["tip"]
+    assert not hasattr(agg, "update") and not hasattr(agg, "pop")
+    plain = dict(agg)
+    assert agg == plain and plain == agg and agg == {"tip": agg["tip"]}
+    assert agg != {"tip": engine.SampledCurve(agg["tip"].xs, agg["tip"].mus)}
+    assert repr(agg) == repr(plain) and "aggregated={'tip': SampledCurve(" in repr(res)
+    assert "nope" not in agg and agg.get("nope") is None
+    with pytest.raises(KeyError):
+        agg["nope"]
+
+
+def test_aggregated_pickles_as_a_plain_dict(tipper):
+    import pickle
+
+    res = infer(tipper, {"service": 3.0, "food": 8.0})
+    data = pickle.dumps(res)
+    assert b"FuzzySystem" not in data and b"_LazyCurves" not in data
+    back = pickle.loads(data)
+    assert type(back.aggregated) is dict and back.crisp == res.crisp
+    assert back.aggregated["tip"].mus.tobytes() == res.aggregated["tip"].mus.tobytes()
+    assert type(pickle.loads(pickle.dumps(res.aggregated))) is dict
+
+
+def test_aggregated_survives_replace_and_feeds_viz_and_eval(tmp_path, capsys, tipper):
+    from fuzzkit.cli import main
+    from fuzzkit.viz import plot_output
+
+    res = infer(tipper, {"service": 3.0, "food": 8.0})
+    moved = dataclasses.replace(res, degenerate=("tip",))
+    assert moved.aggregated is res.aggregated
+    assert plot_output(moved, "tip") == plot_output(
+        engine.InferenceResult(res.crisp, res.firing, dict(res.aggregated)), "tip")
+    path = tmp_path / "tipper.fzl"
+    path.write_text(corpus.load_text("tipper.fzl"))
+    assert main(["eval", str(path), "service=3", "food=8", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["crisp"] == res.crisp and payload["firing"] == list(res.firing)
+
+
 def test_nan_input_behaviour_is_pinned(tipper):
     # Today's behaviour, not a contract (non-finite inputs are still open):
-    # max aggregation ignores NaN activations, and an aggregated curve of
-    # NaN is not degenerate, so its centroid is NaN.
+    # type-1 infer runs the emitted output stage, as generated code does, and
+    # every aggregation there skips NaN activations, so an output that only
+    # NaN activations reach fired no rule.
     robot = corpus.load_system("robot")
     res = infer(robot, {"front": 1.0, "left": 1.0, "heading": math.nan, "goal": 3.0})
     assert sum(1 for a in res.firing if math.isnan(a)) == 16
@@ -331,8 +452,8 @@ def test_nan_input_behaviour_is_pinned(tipper):
         tipper.name, tipper.kind, tipper.inputs, tipper.outputs, tipper.rules,
         dataclasses.replace(tipper.settings, aggregation=SNorm.PROB_SUM))
     res = infer(prob_sum, {"service": math.nan, "food": 5.0})
-    assert math.isnan(res.crisp["tip"])
-    assert res.degenerate == ()
+    assert res.crisp == {"tip": 15.0}
+    assert res.degenerate == ("tip",)
     # Interval type-2: the NaN service fires rule 2 at (nan, nan), which max
     # aggregation ignores; NaN everywhere fires nothing, and so does an
     # infinite service where the food fires no rule either.

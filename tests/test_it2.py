@@ -9,7 +9,7 @@ import pytest
 import helpers
 from fuzzkit import (Domain, EngineSettings, EvaluationError, FuzzySystem,
                      Implication, IntervalMF, Relation, Rule, SNorm, SystemKind,
-                     Triangular, Variable)
+                     Triangular, Variable, engine)
 from fuzzkit.engine import (fire_rules, fire_rules_interval, infer,
                             infer_it2_mamdani, infer_mamdani, km_reduce)
 
@@ -37,6 +37,21 @@ def _switch_point_tie(xs, lower, upper, left: bool):
     j = int(np.searchsorted(xs, y))
     return (np.insert(xs, j, y), np.insert(lower, j, 0.0),
             np.insert(upper, j, 1.0))
+
+
+def test_km_reduce_grid_memo_hit_and_miss_match_oracle():
+    # km_reduce keeps the type-reduction constants of the last grid it saw:
+    # a call on that grid again, and a call on a fresh grid, are bitwise the
+    # exhaustive oracle.
+    rng = random.Random(72)
+    grids = [np.linspace(-3.0, 7.0, 41), np.linspace(0.0, 1.0, 17)]
+    for step in range(12):
+        xs = grids[step // 3 % 2].copy()  # equal bytes, a fresh array each call
+        upper = np.array([rng.random() for _ in range(len(xs))])
+        lower = upper * np.array([rng.random() for _ in range(len(xs))])
+        hits = engine._km_grid_of.cache_info().hits
+        assert km_reduce(xs, lower, upper) == helpers.km_oracle(xs, lower, upper)
+        assert engine._km_grid_of.cache_info().hits == hits + (step % 3 != 0)
 
 
 def test_km_reduce_matches_oracle_at_scale():
