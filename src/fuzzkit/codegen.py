@@ -21,7 +21,6 @@ from __future__ import annotations
 import types
 
 from . import _emit
-from ._emit import WIDTH as _WIDTH, wrap as _wrap  # noqa: F401 (importable from here)
 from .engine import _lower, _zero_fire_value
 from .errors import CodegenError
 from .model import FuzzySystem, SystemKind

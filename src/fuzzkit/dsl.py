@@ -1,5 +1,7 @@
-"""Textual fuzzy-system DSL: lexer, recursive-descent parser, loop expansion,
-semantic checks and the canonical pretty-printer.
+"""Textual fuzzy-system DSL: token table, recursive-descent parser, loop
+expansion, semantic checks and the canonical pretty-printer.  The token table
+is compiled by the lexer shared with the FCL reader (``interop.common``), and
+the parser extends the shared ``TokenCursor``.
 
 Grammar (EBNF; statements are newline-terminated, otherwise whitespace does
 not matter, and ``#`` starts a comment running to end of line)::
@@ -39,9 +41,10 @@ Settings lines select pipeline operators by name, e.g. ``and = ProdAnd``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ModelError, ParseError
+from .interop.common import Lexer, Token, TokenCursor
 from .mf import (MF_CONSTRUCTORS, Gaussian, GeneralizedBell, IntervalMF,
                  MembershipFunction, PiecewiseLinear, Sigmoid, Singleton,
                  Trapezoidal, Triangular)
@@ -50,7 +53,6 @@ from .model import (And, Domain, EngineSettings, FuzzySystem, Not, Or,
                     SystemKind, Variable)
 from .norms import Defuzzifier, Implication, SNorm, TNorm
 
-_MAX_NESTING = 200
 _MAX_EXPANSION = 10_000  # statements after loop/vector expansion
 
 _KINDS = {
@@ -99,112 +101,18 @@ _DEFUZZIFIER_NAMES = {
 # ---------------------------------------------------------------------------
 # Lexer
 
-_TWO_CHAR = {":=", "::", "==", "&&", "||"}
-_ONE_CHAR = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
-             ",": "COMMA", "*": "STAR", "+": "PLUS", "-": "MINUS",
-             "!": "BANG", "@": "AT", ":": "COLON", "=": "EQ"}
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-    value: float | None = None
-    is_int: bool = False
-
-    # Fills __dict__ in one step instead of one object.__setattr__ per field
-    # (a cycle of the lexer makes about a thousand tokens).  Its parameters
-    # and defaults must repeat the fields above; test_dsl pins both lists.
-    def __init__(self, kind, text, line, column, value=None, is_int=False):
-        self.__dict__.update(kind=kind, text=text, line=line, column=column,
-                             value=value, is_int=is_int)
-
-
-def _lex(text: str, origin: str) -> list[Token]:
-    tokens: list[Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if text.startswith("-->", i):
-            tokens.append(Token("ARROW", "-->", line, col))
-            i += 3
-            col += 3
-            continue
-        pair = text[i:i + 2]
-        if pair in _TWO_CHAR:
-            kind = {":=": "DEFINE", "::": "DCOLON", "==": "EQEQ",
-                    "&&": "ANDAND", "||": "OROR"}[pair]
-            tokens.append(Token(kind, pair, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_int = True
-            if j < n and text[j] == "." and not text.startswith("..", j):
-                is_int = False
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_int = False
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            raw = text[i:j]
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(f"malformed number {raw!r}", line, col, origin=origin)
-            tokens.append(Token("NUMBER", raw, line, col, value=value, is_int=is_int))
-            col += j - i
-            i = j
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token(_ONE_CHAR[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "&|":
-            raise ParseError(f"unexpected character {ch!r}", line, col,
-                             expected="'&&' or '||'", origin=origin)
-        raise ParseError(f"unexpected character {ch!r}", line, col, origin=origin)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+_LEXER = Lexer([
+    ("NEWLINE", r"\n"),
+    ("SKIP", r"#[^\n]*"),
+    ("NUMBER", r"(?=\.?\d)\d*(?:\.(?!\.)\d*)?(?:[eE][+-]?\d+)?"),
+    ("ARROW", r"-->"),
+    ("DEFINE", r":="), ("DCOLON", r"::"), ("EQEQ", r"=="),
+    ("ANDAND", r"&&"), ("OROR", r"\|\|"),
+    ("LPAREN", r"\("), ("RPAREN", r"\)"), ("LBRACKET", r"\["), ("RBRACKET", r"\]"),
+    ("COMMA", r","), ("STAR", r"\*"), ("PLUS", r"\+"), ("MINUS", r"-"),
+    ("BANG", r"!"), ("AT", r"@"), ("COLON", r":"), ("EQ", r"="),
+    ("EOF", r"\Z"),
+], hints={"&": "'&&' or '||'", "|": "'&&' or '||'"})
 
 
 # ---------------------------------------------------------------------------
@@ -308,41 +216,13 @@ class SystemAst:
 # ---------------------------------------------------------------------------
 # Parser
 
-class _Parser:
-    def __init__(self, tokens: list[Token], origin: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.origin = origin
-        self.depth = 0
-
-    # -- token plumbing
-
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: Token | None = None,
-             expected: str | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.column, expected=expected,
-                          origin=self.origin)
-
-    def expect(self, kind: str, expected: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.fail(f"unexpected {_describe(tok)}", tok, expected=expected)
-        return self.next()
+class _Parser(TokenCursor):
+    # -- token plumbing beyond the cursor's
 
     def expect_word(self, word: str) -> Token:
         tok = self.peek()
         if tok.kind != "IDENT" or tok.text != word:
-            raise self.fail(f"unexpected {_describe(tok)}", tok, expected=f"'{word}'")
+            raise self.unexpected(tok, f"'{word}'")
         return self.next()
 
     def skip_newlines(self) -> None:
@@ -355,15 +235,7 @@ class _Parser:
             self.next()
             self.skip_newlines()
         elif tok.kind != "EOF":
-            raise self.fail(f"unexpected {_describe(tok)}", tok, expected="end of line")
-
-    def _enter(self, tok: Token) -> None:
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            raise self.fail("expression nested too deeply", tok)
-
-    def _leave(self) -> None:
-        self.depth -= 1
+            raise self.unexpected(tok, "end of line")
 
     # -- numbers and names
 
@@ -376,7 +248,7 @@ class _Parser:
             num = self.expect("NUMBER", "a number")
         else:
             num = self.expect("NUMBER", "a number")
-        return replace(num, value=sign * num.value)
+        return num._replace(value=sign * num.value)
 
     def unsigned_int(self, what: str) -> int:
         tok = self.peek()
@@ -401,8 +273,7 @@ class _Parser:
             self.next()
             self.expect("RBRACKET", "']'")
             return VarName(ident.text, tok.text, ident.line, ident.column)
-        raise self.fail(f"unexpected {_describe(tok)}", tok,
-                        expected="an index (integer or loop variable)")
+        raise self.unexpected(tok, "an index (integer or loop variable)")
 
     # -- header
 
@@ -416,8 +287,7 @@ class _Parser:
             self.next()
         tok = self.peek()
         if tok.kind != "IDENT" or tok.text not in _KINDS:
-            raise self.fail(f"unexpected {_describe(tok)}", tok,
-                            expected="'mamfis', 'sugfis' or 'it2mamfis'")
+            raise self.unexpected(tok, "'mamfis', 'sugfis' or 'it2mamfis'")
         kind = _KINDS[self.next().text]
         self.expect_word("function")
         name = self.expect("IDENT", "the system name")
@@ -558,7 +428,7 @@ class _Parser:
     def parse_mfcall(self) -> MFCall:
         ctor = self.expect("IDENT", "a membership constructor")
         open_paren = self.expect("LPAREN", "'('")
-        self._enter(open_paren)
+        self.enter(open_paren)
         args: list = []
         if self.peek().kind != "RPAREN":
             args.append(self.parse_mfarg())
@@ -566,7 +436,7 @@ class _Parser:
                 self.next()
                 args.append(self.parse_mfarg())
         self.expect("RPAREN", "')'")
-        self._leave()
+        self.leave()
         return MFCall(ctor.text, tuple(args), ctor.line, ctor.column)
 
     def parse_mfarg(self):
@@ -617,8 +487,7 @@ class _Parser:
                 self.next()
                 coeffs.append((tok.text, term_sign))
             else:
-                raise self.fail(f"unexpected {_describe(tok)}", tok,
-                                expected="a constant or linear term")
+                raise self.unexpected(tok, "a constant or linear term")
             first = False
             sign = 1.0
         return SugenoExpr(tuple(coeffs), 0.0 if offset is None else offset)
@@ -634,8 +503,7 @@ class _Parser:
             self.next()
             value = int(tok.value) if tok.is_int else tok.value
         else:
-            raise self.fail(f"unexpected {_describe(tok)}", tok,
-                            expected="a setting value")
+            raise self.unexpected(tok, "a setting value")
         self.end_statement()
         return SettingStmt(key.text, value, key.line, key.column)
 
@@ -679,29 +547,21 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "BANG":
             self.next()
-            self._enter(tok)
+            self.enter(tok)
             node = Not(self.parse_unary())
-            self._leave()
+            self.leave()
             return node
         if tok.kind == "LPAREN":
             self.next()
-            self._enter(tok)
+            self.enter(tok)
             node = self.parse_prop()
             self.expect("RPAREN", "')'")
-            self._leave()
+            self.leave()
             return node
         name = self.var_name()
         self.expect("EQEQ", "'=='")
         term = self.expect("IDENT", "a term name")
         return PRel(name, term.text)
-
-
-def _describe(tok: Token) -> str:
-    if tok.kind == "EOF":
-        return "end of input"
-    if tok.kind == "NEWLINE":
-        return "end of line"
-    return f"{tok.text!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +819,7 @@ def parse_ast(text: str, origin: str = "<inline>") -> SystemAst:
     """Parse source into the raw statement AST, loops not yet expanded."""
     if not isinstance(text, str):
         raise ParseError("source must be text", origin=origin)
-    parser = _Parser(_lex(text, origin), origin)
+    parser = _Parser(_LEXER.tokens(text, origin), origin)
     kind, name, inputs, outputs, head = parser.parse_header()
     body = parser.parse_body()
     parser.expect_word("end")

@@ -5,7 +5,9 @@ FUZZIFY blocks with point-list and singleton TERMs, DEFUZZIFY with METHOD
 COG/COGS/COA/MOM/LM/RM plus DEFAULT and RANGE, and RULEBLOCK with
 AND/OR/ACT/ACCU operator lines and IF/THEN rules (NOT, parentheses, IS NOT,
 WITH weight, multiple conclusions).  METHOD COGS switches the whole system
-to Sugeno semantics with constant consequents.
+to Sugeno semantics with constant consequents.  Keywords are
+case-insensitive.  The token table is compiled by the lexer shared with the
+DSL (``common``), and the parser extends the shared ``TokenCursor``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from ..mf import PiecewiseLinear, Singleton
 from ..model import (And, Domain, EngineSettings, FuzzySystem, Not, Or,
                      Relation, Rule, SugenoConstant, SystemKind, Variable)
 from ..norms import Defuzzifier, Implication, SNorm, TNorm
-from .common import FormatDiagnostics
+from .common import FormatDiagnostics, Lexer, Token, TokenCursor
 
 _AND_METHODS = {"MIN": TNorm.MIN, "PROD": TNorm.PROD, "BDIF": TNorm.LUKASIEWICZ}
 _OR_METHODS = {"MAX": SNorm.MAX, "ASUM": SNorm.PROB_SUM, "BSUM": SNorm.BOUNDED_SUM}
@@ -29,108 +31,21 @@ _DEFUZZ_METHODS = {
     "RM": Defuzzifier.LAST_OF_MAXIMA,
 }
 
-_SYMBOLS = {":=": "ASSIGN", "..": "DOTS", "(": "LPAREN", ")": "RPAREN",
-            ",": "COMMA", ";": "SEMI", ":": "COLON"}
+_LEXER = Lexer([
+    ("EOF", r"(?://[^\n]*)?\Z"),  # a last-line // comment leaves EOF where it starts
+    ("SKIP", r"\n|//[^\n]*|\(\*(?s:.*?)\*\)"),
+    ("OPEN_COMMENT", r"\(\*"),
+    ("NUMBER", r"(?=\.?\d|[+-][.\d])[+-]?\d*(?:\.(?!\.)\d*)?(?:[eE][+-]?\d+)?"),
+    ("ASSIGN", r":="), ("DOTS", r"\.\."), ("LPAREN", r"\("), ("RPAREN", r"\)"),
+    ("COMMA", r","), ("SEMI", r";"), ("COLON", r":"),
+], errors={"OPEN_COMMENT": "unterminated comment"})
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column", "value")
+class _FclParser(TokenCursor):
+    too_deep = "rule expression nested too deeply"
 
-    def __init__(self, kind, text, line, column, value=None):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-        self.value = value
-
-
-def _lex(text: str, origin: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("(*", i):
-            end = text.find("*)", i + 2)
-            if end < 0:
-                raise ParseError("unterminated comment", line, col, origin=origin)
-            skipped = text[i:end + 2]
-            line += skipped.count("\n")
-            col = (len(skipped) - skipped.rfind("\n")) if "\n" in skipped else col + len(skipped)
-            i = end + 2
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch in "+-." and i + 1 < n and text[i + 1].isdigit()) \
-                or (ch in "+-" and text.startswith((".",), i + 1)):
-            j = i
-            if text[j] in "+-":
-                j += 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and not text.startswith("..", j):
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            raw = text[i:j]
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(f"malformed number {raw!r}", line, col, origin=origin)
-            tokens.append(_Token("NUMBER", raw, line, col, value))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _SYMBOLS:
-            tokens.append(_Token(_SYMBOLS[two], two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(_SYMBOLS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col, origin=origin)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
-
-
-class _FclParser:
     def __init__(self, text: str, origin: str):
-        self.tokens = _lex(text, origin)
-        self.pos = 0
-        self.origin = origin
+        super().__init__(_LEXER.tokens(text, origin), origin)
         self.diagnostics = FormatDiagnostics("fcl")
         self.inputs: list[str] = []
         self.outputs: list[str] = []
@@ -141,42 +56,20 @@ class _FclParser:
         self.defaults: dict[str, float] = {}
         self.operators: dict[str, object] = {}
         self.rules: list[Rule] = []
-        self.depth = 0
 
-    # -- plumbing
-
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.column, origin=self.origin)
+    # -- token plumbing beyond the cursor's
 
     def keyword(self) -> str:
         tok = self.peek()
         return tok.text.upper() if tok.kind == "IDENT" else ""
 
-    def expect_kw(self, word: str) -> _Token:
+    def expect_kw(self, word: str) -> Token:
         tok = self.peek()
         if tok.kind != "IDENT" or tok.text.upper() != word:
-            raise ParseError(f"expected {word!r}", tok.line, tok.column,
-                             expected=f"'{word}'", origin=self.origin)
+            raise self.unexpected(tok, f"'{word}'")
         return self.next()
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.column,
-                             expected=what, origin=self.origin)
-        return self.next()
-
-    def ident(self, what: str) -> _Token:
+    def ident(self, what: str) -> Token:
         return self.expect("IDENT", what)
 
     def number(self) -> float:
@@ -197,9 +90,9 @@ class _FclParser:
             elif kw == "VAR_OUTPUT":
                 self.parse_vars(self.outputs)
             elif kw == "FUZZIFY":
-                self.parse_fuzzify()
+                self.parse_block(kw, self.inputs, "input")
             elif kw == "DEFUZZIFY":
-                self.parse_defuzzify()
+                self.parse_block(kw, self.outputs, "output")
             elif kw == "RULEBLOCK":
                 self.parse_ruleblock()
             else:
@@ -223,15 +116,17 @@ class _FclParser:
             into.append(name.text)
         self.next()
 
-    def parse_fuzzify(self) -> None:
+    def parse_block(self, block: str, pool: list[str], role: str) -> None:
+        """A FUZZIFY (inputs) or DEFUZZIFY (outputs) block; only the latter
+        takes METHOD and DEFAULT lines."""
         start = self.next()
         var = self.ident("a variable name")
-        if var.text not in self.inputs:
-            raise self.fail(f"FUZZIFY block for {var.text!r}, which is not a "
-                            f"declared input", var)
+        if var.text not in pool:
+            raise self.fail(f"{block} block for {var.text!r}, which is not a "
+                            f"declared {role}", var)
         self.block_lines[var.text] = start.line
         terms = self.terms.setdefault(var.text, {})
-        while self.keyword() != "END_FUZZIFY":
+        while self.keyword() != f"END_{block}":
             kw = self.keyword()
             if kw == "TERM":
                 name, value = self.parse_term()
@@ -240,31 +135,7 @@ class _FclParser:
                 terms[name] = value
             elif kw == "RANGE":
                 self.domains[var.text] = self.parse_range()
-            elif self.peek().kind == "EOF":
-                raise self.fail("unterminated FUZZIFY block")
-            else:
-                tok = self.peek()
-                raise self.fail(f"unsupported construct {tok.text!r} in FUZZIFY", tok)
-        self.next()
-
-    def parse_defuzzify(self) -> None:
-        start = self.next()
-        var = self.ident("a variable name")
-        if var.text not in self.outputs:
-            raise self.fail(f"DEFUZZIFY block for {var.text!r}, which is not a "
-                            f"declared output", var)
-        self.block_lines[var.text] = start.line
-        terms = self.terms.setdefault(var.text, {})
-        while self.keyword() != "END_DEFUZZIFY":
-            kw = self.keyword()
-            if kw == "TERM":
-                name, value = self.parse_term()
-                if name in terms:
-                    raise self.fail(f"duplicate term {name!r} in {var.text!r}")
-                terms[name] = value
-            elif kw == "RANGE":
-                self.domains[var.text] = self.parse_range()
-            elif kw == "METHOD":
+            elif kw == "METHOD" and block == "DEFUZZIFY":
                 tok = self.next()
                 self.expect("COLON", "':'")
                 method = self.ident("a defuzzification method").text.upper()
@@ -272,16 +143,16 @@ class _FclParser:
                 if method != "COGS" and method not in _DEFUZZ_METHODS:
                     raise self.fail(f"unsupported defuzzification method {method!r}", tok)
                 self.methods[var.text] = method
-            elif kw == "DEFAULT":
+            elif kw == "DEFAULT" and block == "DEFUZZIFY":
                 self.next()
                 self.expect("ASSIGN", "':='")
                 self.defaults[var.text] = self.number()
                 self.expect("SEMI", "';'")
             elif self.peek().kind == "EOF":
-                raise self.fail("unterminated DEFUZZIFY block")
+                raise self.fail(f"unterminated {block} block")
             else:
                 tok = self.peek()
-                raise self.fail(f"unsupported construct {tok.text!r} in DEFUZZIFY", tok)
+                raise self.fail(f"unsupported construct {tok.text!r} in {block}", tok)
         self.next()
 
     def parse_term(self) -> tuple[str, object]:
@@ -340,7 +211,7 @@ class _FclParser:
                 raise self.fail(f"unsupported construct {tok.text!r} in RULEBLOCK", tok)
         self.next()
 
-    def set_operator(self, kw: str, method: _Token) -> None:
+    def set_operator(self, kw: str, method: Token) -> None:
         name = method.text.upper()
         tables = {"AND": ("conjunction", _AND_METHODS),
                   "OR": ("disjunction", _OR_METHODS),
@@ -391,9 +262,7 @@ class _FclParser:
         return node
 
     def parse_atom(self):
-        self.depth += 1
-        if self.depth > 200:
-            raise self.fail("rule expression nested too deeply")
+        self.enter(self.peek())
         try:
             if self.keyword() == "NOT":
                 self.next()
@@ -413,7 +282,7 @@ class _FclParser:
             rel = self.relation(var, term, antecedent=True)
             return Not(rel) if negated else rel
         finally:
-            self.depth -= 1
+            self.leave()
 
     def parse_conclusion(self) -> Relation:
         var = self.ident("a variable name")
@@ -421,7 +290,7 @@ class _FclParser:
         term = self.ident("a term name")
         return self.relation(var, term, antecedent=False)
 
-    def relation(self, var: _Token, term: _Token, antecedent: bool) -> Relation:
+    def relation(self, var: Token, term: Token, antecedent: bool) -> Relation:
         pool = self.inputs if antecedent else self.outputs
         role = "input" if antecedent else "output"
         if var.text not in pool:

@@ -17,7 +17,8 @@ from fuzzkit import (And, Defuzzifier, Domain, EngineSettings, FuzzySystem,
                      Gaussian, Implication, ModelError, Or, PiecewiseLinear, Relation, Rule,
                      SNorm, SystemKind, Trapezoidal, Triangular, Variable, corpus)
 from fuzzkit import _emit
-from fuzzkit.codegen import _WIDTH, CodegenError, _wrap, generate, load
+from fuzzkit._emit import WIDTH as _WIDTH, wrap as _wrap
+from fuzzkit.codegen import CodegenError, generate, load
 from fuzzkit.engine import fire_rules, infer
 
 

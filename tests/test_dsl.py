@@ -1,7 +1,5 @@
 """Model-definition language: parsing, loop expansion, canonical formatting."""
 
-import dataclasses
-import inspect
 import random
 
 import pytest
@@ -10,8 +8,9 @@ import helpers
 from fuzzkit import (Defuzzifier, Gaussian, Or, ParseError, Relation, SNorm,
                      SugenoConstant, SugenoLinear, SystemKind, TNorm,
                      Trapezoidal, Triangular, corpus)
-from fuzzkit.dsl import (LoopStmt, Token, expand_loops, format_proposition,
+from fuzzkit.dsl import (LoopStmt, expand_loops, format_proposition,
                          format_rule, format_system, parse_ast, parse_system)
+from fuzzkit.interop.common import Token
 
 
 @pytest.fixture(scope="module")
@@ -22,16 +21,10 @@ def tipper_text():
 # ---------------------------------------------------------------------------
 # Tokens
 
-def test_token_is_a_frozen_dataclass():
-    # The explicit __init__ fills every field, defaults included; equality,
-    # hashing, repr and immutability are the dataclass's own.
-    fields = [f.name for f in dataclasses.fields(Token)]
-    assert fields == ["kind", "text", "line", "column", "value", "is_int"]
-    params = list(inspect.signature(Token.__init__).parameters.values())[1:]
-    assert [p.name for p in params] == fields
-    assert [p.default for p in params] == [
-        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
-        for f in dataclasses.fields(Token)]
+def test_token_is_an_immutable_named_tuple():
+    # The DSL and FCL readers share one Token type.
+    assert Token._fields == ("kind", "text", "line", "column", "value", "is_int")
+    assert Token._field_defaults == {"value": None, "is_int": False}
     a = Token("NUMBER", "2", 3, 4, value=2.0, is_int=True)
     assert a == Token("NUMBER", "2", 3, 4, 2.0, True)
     assert hash(a) == hash(Token("NUMBER", "2", 3, 4, 2.0, True))
@@ -39,9 +32,9 @@ def test_token_is_a_frozen_dataclass():
     assert repr(a) == "Token(kind='NUMBER', text='2', line=3, column=4, value=2.0, is_int=True)"
     b = Token("IDENT", "x", 1, 1)
     assert (b.value, b.is_int) == (None, False)
-    assert dataclasses.astuple(b) == ("IDENT", "x", 1, 1, None, False)
-    assert dataclasses.replace(b, column=7) == Token("IDENT", "x", 1, 7)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert tuple(b) == ("IDENT", "x", 1, 1, None, False)
+    assert b._replace(column=7) == Token("IDENT", "x", 1, 7)
+    with pytest.raises(AttributeError):
         b.text = "y"
 
 

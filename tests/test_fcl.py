@@ -307,3 +307,23 @@ END_FUNCTION_BLOCK
 """
     with pytest.raises(ParseError, match="no FUZZIFY block"):
         parse_fcl(text)
+
+
+def test_expect_failures_name_the_token_found():
+    # One wording for both readers: what was found, then what was expected.
+    with pytest.raises(ParseError) as kind:
+        parse_fcl("FUNCTION_BLOCK x VAR_INPUT a REAL; END_VAR")
+    assert str(kind.value) == "<fcl>:1:30: unexpected 'REAL' (expected ':')"
+    assert kind.value.expected == "':'"
+    with pytest.raises(ParseError) as keyword:
+        parse_fcl(_block(["x IS lo THEN y IS small"]))
+    assert str(keyword.value) == "<fcl>:24:14: unexpected 'x' (expected 'IF')"
+    assert keyword.value.expected == "'IF'"
+
+
+def test_end_of_input_follows_the_last_character():
+    # The end of input sits right after the last character, also when that
+    # character is a one-character symbol.
+    with pytest.raises(ParseError) as exc:
+        parse_fcl("FUNCTION_BLOCK f VAR_INPUT x :")
+    assert str(exc.value) == "<fcl>:1:31: unexpected end of input (expected a type name)"

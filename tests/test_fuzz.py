@@ -83,7 +83,7 @@ def test_non_string_inputs_raise_parse_error():
 
 
 def test_deep_nesting_is_bounded():
-    # A kilo-paren antecedent must be rejected, not overflow the stack.
+    # Antecedents 10,000 levels deep must be rejected, not overflow the stack.
     depth = 10_000
     text = ("fis = @mamfis function f(x)::y\n"
             "    x := begin\n        domain = 0:1\n"
@@ -91,5 +91,15 @@ def test_deep_nesting_is_bounded():
             "    y := begin\n        domain = 0:1\n"
             "        u = TriangularMF(0.0, 0.5, 1.0)\n    end\n"
             f"    {'(' * depth}x == t{')' * depth} --> y == u\nend\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="expression nested too deeply"):
         parse_system(text)
+    fcl_head = ("FUNCTION_BLOCK f\nVAR_INPUT x : REAL; END_VAR\n"
+                "VAR_OUTPUT y : REAL; END_VAR\n"
+                "FUZZIFY x TERM t := (0, 0) (1, 1); END_FUZZIFY\n"
+                "DEFUZZIFY y TERM u := (0, 0) (1, 1); METHOD : COG; END_DEFUZZIFY\n"
+                "RULEBLOCK r\n")
+    for antecedent in (f"{'(' * depth}x IS t{')' * depth}", "NOT " * depth + "x IS t"):
+        text = (f"{fcl_head}RULE 1 : IF {antecedent} THEN y IS u;\n"
+                "END_RULEBLOCK\nEND_FUNCTION_BLOCK\n")
+        with pytest.raises(ParseError, match="rule expression nested too deeply"):
+            parse_fcl(text)
