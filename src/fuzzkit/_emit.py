@@ -6,10 +6,8 @@ and the standalone code generator all run text written here:
 then each rule's weighted truth degree), for type-1 and interval type-2
 systems alike, and ``emit_outputs`` the type-1 output stage after it.
 Membership formulas, defuzzifiers and, in ``norms``, the norms are
-statement templates, each written once.  Membership formulas mirror
-``mf``'s ``__call__`` operation for operation, so a term called directly
-and a term in emitted code agree bit for bit; changing one requires
-changing the other.
+statement templates, each written once; a membership function called
+directly runs its formula from here, compiled by ``exec_emitted``.
 
 A ``Writer`` for standalone text spells tuple constants as literals and
 keeps comments; one with a ``consts`` dict (the engine's) binds them there
@@ -23,6 +21,7 @@ recorded from ``math``).
 from __future__ import annotations
 
 import keyword
+import math
 
 import numpy as np
 
@@ -113,6 +112,15 @@ def wrap(w: Writer, head: str, text: str) -> None:
     w.lines.append(line)
 
 
+def exec_emitted(w: Writer, filename: str, name: str):
+    """Compile the function ``name`` that ``w`` holds, with the names emitted
+    code uses and the constants ``w`` bound."""
+    ns = {"exp": math.exp, "log": math.log, "abs": abs, "_float": float, "zip": zip,
+          "enumerate": enumerate, "__builtins__": {}, **(w.consts or {})}
+    exec(compile(w.text(), filename, "exec"), ns)
+    return ns[name]
+
+
 def sanitize(name: str, taken: set[str], fallback: str = "v") -> str:
     """Turn an arbitrary string into a fresh valid Python identifier."""
     cleaned = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
@@ -135,8 +143,18 @@ def _logistic(z: str, out: str) -> list[str]:
             "else:", f"    {out} = 1.0 / (1.0 + exp({z}))"]
 
 
+def emit_mf_def(w: Writer, mf, name: str) -> None:
+    """``def name(_x)`` returning mf(_x)."""
+    w.emit(f"def {name}(_x):")
+    w.level += 1
+    emit_mf(w, mf, "_x", "_y")
+    w.emit("return _y")
+    w.level -= 1
+
+
 def emit_mf(w: Writer, mf, x: str, out: str) -> None:
-    """Statements assigning ``out`` = mf(``x``), mirroring ``mf.__call__``."""
+    """Statements assigning ``out`` = mf(``x``): the only formula of each
+    membership kind, which ``MembershipFunction.__call__`` runs too."""
     if isinstance(mf, (Triangular, Trapezoidal)):
         a, b = lit(mf.a), lit(mf.b)
         if isinstance(mf, Triangular):
@@ -171,10 +189,9 @@ def emit_mf(w: Writer, mf, x: str, out: str) -> None:
         w.emit_block([f"{z} = {lit(-mf.a)} * ({x} - {lit(mf.c)})", *_logistic(z, out)])
         return
     if isinstance(mf, PiecewiseLinear):
-        # One comparison per breakpoint.  Each segment's rise and run are
-        # subtracted here, the same IEEE subtractions ``__call__`` makes at
-        # run time.  NaN fails every comparison and lands in the last branch,
-        # whose result is NaN too.
+        # One comparison per breakpoint; each segment's rise and run are
+        # subtracted here, once.  NaN fails every comparison and lands in the
+        # last branch, whose result is NaN too.
         xs, ys = mf._xs, mf._ys
         w.emit_block([f"if {x} <= {lit(xs[0])}:", f"    {out} = {lit(ys[0])}",
                       f"elif {x} >= {lit(xs[-1])}:", f"    {out} = {lit(ys[-1])}"])
@@ -245,11 +262,7 @@ def emit_degrees(w: Writer, fis, relations, args: dict, inline_mfs: bool = True)
     if not inline_mfs:
         for mf in dict.fromkeys(mf for parts in mfs.values() for mf in parts):
             helpers[mf] = f"_mf{len(helpers)}"
-            w.emit(f"def {helpers[mf]}(_x):")
-            w.level += 1
-            emit_mf(w, mf, "_x", "_y")
-            w.emit("return _y")
-            w.level -= 1
+            emit_mf_def(w, mf, helpers[mf])
     names = {}
     for j, ((var, term), parts) in enumerate(mfs.items()):
         outs = (f"_m{j}", f"_u{j}")[:len(parts)]

@@ -41,13 +41,11 @@ Settings lines select pipeline operators by name, e.g. ``and = ProdAnd``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ModelError, ParseError
 from .interop.common import Lexer, Token, TokenCursor
-from .mf import (MF_CONSTRUCTORS, Gaussian, GeneralizedBell, IntervalMF,
-                 MembershipFunction, PiecewiseLinear, Sigmoid, Singleton,
-                 Trapezoidal, Triangular)
+from .mf import MF_CONSTRUCTORS, IntervalMF, MembershipFunction, PiecewiseLinear
 from .model import (And, Domain, EngineSettings, FuzzySystem, Not, Or,
                     Proposition, Relation, Rule, SugenoConstant, SugenoLinear,
                     SystemKind, Variable)
@@ -567,25 +565,25 @@ class _Parser(TokenCursor):
 # ---------------------------------------------------------------------------
 # Loop expansion
 
-def expand_loops(statements) -> tuple:
+def expand_loops(statements, origin: str = "<inline>") -> tuple:
     """Replicate every ``for i in lo:hi`` block, rewriting indexed names.
 
     Returns a loop-free statement tuple; nested loops expand inside out with
-    ordinary shadowing for reused index names.
+    ordinary shadowing for reused index names.  Past ``_MAX_EXPANSION``
+    statements it raises at the statement that overflowed.
     """
     out: list = []
     for st in statements:
         if isinstance(st, LoopStmt):
-            for i in range(st.lo, st.hi + 1):
-                body = tuple(_substitute(s, st.var, i) for s in st.body)
-                out.extend(expand_loops(body))
-                if len(out) > _MAX_EXPANSION:
-                    raise ParseError("loop expansion produces too many statements",
-                                     st.line, st.column)
+            parts = (expand_loops(tuple(_substitute(s, st.var, i) for s in st.body), origin)
+                     for i in range(st.lo, st.hi + 1))
         else:
-            out.append(st)
+            parts = ((st,),)
+        for part in parts:
+            out.extend(part)
             if len(out) > _MAX_EXPANSION:
-                raise ParseError("loop expansion produces too many statements")
+                raise ParseError("loop expansion produces too many statements",
+                                 st.line, st.column, origin=origin)
     return tuple(out)
 
 
@@ -836,7 +834,7 @@ def parse_system(text: str, origin: str = "<inline>") -> FuzzySystem:
     never raises anything else, however garbled the source.
     """
     ast = parse_ast(text, origin)
-    expanded = replace(ast, body=expand_loops(ast.body))
+    expanded = replace(ast, body=expand_loops(ast.body, origin))
     return _Builder(expanded, origin).build()
 
 
@@ -850,24 +848,7 @@ _IMPLICATION_BACK = {v: k for k, v in _IMPLICATION_NAMES.items()}
 _AGGREGATOR_BACK = {v: k for k, v in _AGGREGATOR_NAMES.items()}
 _DEFUZZIFIER_BACK = {v: k for k, v in _DEFUZZIFIER_NAMES.items()}
 
-_MF_NAMES = {
-    Triangular: "TriangularMF",
-    Trapezoidal: "TrapezoidalMF",
-    Gaussian: "GaussianMF",
-    Singleton: "SingletonMF",
-    GeneralizedBell: "GeneralizedBellMF",
-    Sigmoid: "SigmoidMF",
-    PiecewiseLinear: "PiecewiseLinearMF",
-}
-
-_MF_PARAMS = {
-    Triangular: ("a", "b", "c"),
-    Trapezoidal: ("a", "b", "c", "d"),
-    Gaussian: ("mu", "sigma"),
-    Singleton: ("c",),
-    GeneralizedBell: ("a", "b", "c"),
-    Sigmoid: ("a", "c"),
-}
+_MF_NAMES = {cls: name for name, cls in MF_CONSTRUCTORS.items()}
 
 
 def _format_mf(mf) -> str:
@@ -876,9 +857,8 @@ def _format_mf(mf) -> str:
     if isinstance(mf, PiecewiseLinear):
         pts = ", ".join(f"({x!r}, {y!r})" for x, y in mf.points)
         return f"PiecewiseLinearMF({pts})"
-    name = _MF_NAMES[type(mf)]
-    args = ", ".join(repr(getattr(mf, p)) for p in _MF_PARAMS[type(mf)])
-    return f"{name}({args})"
+    args = ", ".join(repr(getattr(mf, f.name)) for f in fields(mf))
+    return f"{_MF_NAMES[type(mf)]}({args})"
 
 
 def _format_consequent_value(value) -> str:

@@ -3,12 +3,12 @@
 Each system is lowered once (``_lower``, cached per system): the antecedent
 terms it uses, its consequents, and the term curves of all outputs sampled
 into one stacked matrix.  Two backends read that lowering.  The scalar one
-is code ``_emit`` writes, compiled here on first use: ``fire``, the rule
-firing (``_fire``), and for type-1 systems ``outputs``, the output stage
-``codegen.generate`` writes after the antecedents.  Type-1 ``infer`` runs
-the two and packages the result, so it computes what generated code
-computes; an output that fired no rule comes back from the stage's
-zero-fire branch as ``None`` and is flagged ``degenerate``.  The array
+is code ``_emit`` writes, compiled on first use by ``_emit.exec_emitted``:
+``fire``, the rule firing (``_fire``), and for type-1 systems ``outputs``,
+the output stage ``codegen.generate`` writes after the antecedents.  Type-1
+``infer`` runs the two and packages the result, so it computes what
+generated code computes; an output that fired no rule comes back from the
+stage's zero-fire branch as ``None`` and is flagged ``degenerate``.  The array
 backend is numpy over the term matrix (``_aggregate``, ``_defuzzify``): it
 serves aggregated curves, computed only when a result's ``aggregated`` is
 read, interval type-2 inference and public ``defuzzify``.  Grid sums run
@@ -18,7 +18,8 @@ so the backends agree bit for bit on finite inputs.
 All entry points are pure: they never mutate the system or the inputs, so a
 validated system can serve concurrent callers.  The lowering cache, its
 compiled functions, lazily computed curves and the ``km_reduce`` grid memo
-are benign-race memos (a redundant fill computes identical values).
+are benign-race memos (a redundant fill computes identical values); a
+pickled system leaves its lowering out.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def eval_proposition(p: Proposition, fis: FuzzySystem, inputs) -> float:
     w, args = _emit_head(fis)
     names = _emit.emit_degrees(w, fis, relations, args)
     w.emit(f"return {_emit.emit_prop(w, p, fis.settings, names)}")
-    return _exec_emitted(w, "<proposition>")(values)
+    return _emit.exec_emitted(w, "<proposition>", "_fire")(values)
 
 
 @dataclass(eq=False)
@@ -182,13 +183,11 @@ class _Lowering:
     """A system lowered once for every backend (see ``_lower``).
 
     ``relations`` lists the antecedent ``(variable, term)`` pairs in
-    first-use order; ``consequents`` every output's ``(rule index, slot)``
-    pairs in rule order, ``slot = output * width + term`` in declaration
-    order, ``width`` being the largest term count of an output, and
-    ``by_output`` the same pairs per output as ``(rule index, term)``, for
-    the paths that work one output at a time.  A Mamdani system has one
-    ``(outputs, resolution)`` array of ``grids`` and one ``(bands, outputs,
-    width, resolution)`` term-curve matrix ``curves``, both read-only: one
+    first-use order; ``by_output`` each output's consequents as ``(rule
+    index, term)`` pairs in rule order, terms numbered in declaration order.
+    A Mamdani system has one ``(outputs, resolution)`` array of ``grids`` and
+    one ``(bands, outputs, width, resolution)`` term-curve matrix ``curves``,
+    ``width`` being the largest term count of an output, both read-only: one
     band for type-1, lower and upper for IT2, zero rows padding outputs with
     fewer terms; an IT2 system also has ``km_grids``, each grid's
     type-reduction constants (``_km_grid``).  ``runs`` memoizes
@@ -198,7 +197,6 @@ class _Lowering:
     """
 
     relations: tuple
-    consequents: tuple
     by_output: tuple
     grids: np.ndarray | None = None
     curves: np.ndarray | None = None
@@ -223,15 +221,6 @@ def _emit_head(fis: FuzzySystem, head: str = "_fire(_values)", convert: bool = T
     return w, args
 
 
-def _exec_emitted(w: _emit.Writer, filename: str, name: str = "_fire"):
-    """Compile the function ``name`` that ``w`` holds, with the names emitted
-    code uses and the constants ``w`` bound."""
-    ns = {"exp": math.exp, "log": math.log, "abs": abs, "_float": float, "zip": zip,
-          "enumerate": enumerate, "__builtins__": {}, **(w.consts or {})}
-    exec(compile(w.text(), filename, "exec"), ns)
-    return ns[name]
-
-
 def _compile_fire(fis: FuzzySystem):
     """Specialize rule firing for one system into its lowering's ``fire``:
     ``_emit``'s antecedent prologue, which generated code runs too."""
@@ -239,7 +228,7 @@ def _compile_fire(fis: FuzzySystem):
     lowering = _lower(fis)
     acts = _emit.emit_antecedents(w, fis, lowering.relations, args)
     w.emit(f"return ({', '.join(acts)}{',' if len(acts) == 1 else ''})")
-    lowering.fire = _exec_emitted(w, "<rule firing>")
+    lowering.fire = _emit.exec_emitted(w, "<rule firing>", "_fire")
     return lowering.fire
 
 
@@ -258,7 +247,7 @@ def _compile_outputs(fis: FuzzySystem):
     w.emit(f"return ({', '.join(results)},)")
     for k in run_widths:
         w.consts[f"_run{k}"] = _run_helper(fis.settings.implication, k)
-    lowering.outputs = _exec_emitted(w, "<output stage>", "_outputs")
+    lowering.outputs = _emit.exec_emitted(w, "<output stage>", "_outputs")
     return lowering.outputs
 
 
@@ -268,7 +257,7 @@ def _run_helper(implication: Implication, k: int):
     every output stage that calls it (generated code nests its own copy)."""
     w = _emit.Writer()
     _emit.emit_run_helper(w, implication, k)
-    return _exec_emitted(w, "<run helper>", f"_run{k}")
+    return _emit.exec_emitted(w, "<run helper>", f"_run{k}")
 
 
 def _lower(fis: FuzzySystem) -> _Lowering:
@@ -279,17 +268,15 @@ def _lower(fis: FuzzySystem) -> _Lowering:
             (rel.variable, rel.term)
             for rule in fis.rules for rel in _relations(rule.antecedent)))
         outputs = fis.outputs.values()
-        width = max(len(var.terms) for var in outputs)
-        slot = {(var.name, term): o * width + t for o, var in enumerate(outputs)
-                for t, term in enumerate(var.terms)}
-        consequents = tuple((i, slot[rel.variable, rel.term])
-                            for i, rule in enumerate(fis.rules) for rel in rule.consequents)
-        by_output = tuple(tuple((i, s - o * width) for i, s in consequents if s // width == o)
-                          for o in range(len(outputs)))
+        row = {(var.name, term): t for var in outputs for t, term in enumerate(var.terms)}
+        by_output = tuple(tuple((i, row[name, rel.term]) for i, rule in enumerate(fis.rules)
+                                for rel in rule.consequents if rel.variable == name)
+                          for name in fis.outputs)
         grids = curves = km_grids = None
         if fis.kind is not SystemKind.SUGENO:
             grids = np.array([var.domain.grid(fis.settings.resolution) for var in outputs])
             bounds = (None,) if fis.kind is SystemKind.MAMDANI else ("lower", "upper")
+            width = max(len(var.terms) for var in outputs)
             curves = np.zeros((len(bounds), len(grids), width, grids.shape[1]))
             for (b, bound), (o, var) in itertools.product(enumerate(bounds), enumerate(outputs)):
                 for t, mf in enumerate(var.terms.values()):
@@ -298,8 +285,7 @@ def _lower(fis: FuzzySystem) -> _Lowering:
                 a.setflags(write=False)
             if fis.kind is SystemKind.MAMDANI_IT2:
                 km_grids = tuple(map(_km_grid, grids))
-        lowering = cache["lowering"] = _Lowering(relations, consequents, by_output, grids,
-                                                 curves, km_grids)
+        lowering = cache["lowering"] = _Lowering(relations, by_output, grids, curves, km_grids)
     return lowering
 
 
@@ -347,11 +333,14 @@ def _aggregate(fis: FuzzySystem, bands) -> np.ndarray:
     lowering = _lower(fis)
     curves = lowering.curves
     if settings.aggregation is SNorm.MAX:
-        strengths = [[0.0] * (curves.shape[1] * curves.shape[2]) for _ in bands]
+        width = curves.shape[2]
+        strengths = [[0.0] * (curves.shape[1] * width) for _ in bands]
         for acts, strength in zip(bands, strengths):
-            for i, slot in lowering.consequents:
-                if acts[i] > strength[slot]:
-                    strength[slot] = acts[i]
+            for o, pairs in enumerate(lowering.by_output):
+                for i, term in pairs:
+                    slot = o * width + term
+                    if acts[i] > strength[slot]:
+                        strength[slot] = acts[i]
         shaped = implicate(settings.implication,
                            np.array(strengths).reshape(curves.shape[:3] + (1,)), curves)
         agg = np.maximum.reduce(shaped, axis=-2)

@@ -9,6 +9,7 @@ Sections: ``[System]`` (Name/Type/methods), ``[Input<k>]``/``[Output<k>]``
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 
 from ..errors import ModelError, ParseError
 from ..mf import (Gaussian, GeneralizedBell, Sigmoid, Trapezoidal, Triangular)
@@ -34,11 +35,11 @@ _DEFUZZ_METHODS = {
     "som": Defuzzifier.FIRST_OF_MAXIMA,
 }
 _MF_BUILDERS = {
-    "trimf": (Triangular, 3),
-    "trapmf": (Trapezoidal, 4),
-    "gaussmf": (Gaussian, 2),
-    "gbellmf": (GeneralizedBell, 3),
-    "sigmf": (Sigmoid, 2),
+    "trimf": Triangular,
+    "trapmf": Trapezoidal,
+    "gaussmf": Gaussian,
+    "gbellmf": GeneralizedBell,
+    "sigmf": Sigmoid,
 }
 
 
@@ -277,10 +278,10 @@ class _FisBuilder:
         if sugeno_output:
             raise self.fail(f"unsupported MF type {mf_type!r} for a sugeno "
                             f"output (use 'constant' or 'linear')", line)
-        entry = _MF_BUILDERS.get(mf_type)
-        if entry is None:
+        ctor = _MF_BUILDERS.get(mf_type)
+        if ctor is None:
             raise self.fail(f"unknown MF type {mf_type!r}", line)
-        ctor, arity = entry
+        arity = len(fields(ctor))
         if len(params) != arity:
             raise self.fail(f"{mf_type!r} takes {arity} parameters, got "
                             f"{len(params)}", line)

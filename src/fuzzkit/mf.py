@@ -5,30 +5,49 @@ a degree in [0, 1].  Values outside a function's natural support give 0 (or
 the boundary value for :class:`PiecewiseLinear`, which extends constantly),
 so evaluation is total over the reals.
 
-``__call__`` is the scalar path; rule antecedents run the same formulas as
-emitted by ``_emit.emit_mf``, operation for operation, so the two change
-together.  ``sample`` is the vectorized path that discretizes consequents.
+A call runs the kind's one scalar formula, ``_emit.emit_mf``, which rule
+firing and generated code run too.  ``sample`` is the vectorized numpy path
+that discretizes consequents.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelError
 
-# math.exp overflows past ~709.78; branches below clamp before that point.
+# math.exp overflows past ~709.78; the numpy forms below clamp before that point.
 _EXP_CLAMP = 709.0
 
 
 class MembershipFunction:
-    """Base class for scalar membership functions."""
+    """Base class for scalar membership functions.
+
+    The first call compiles ``_emit.emit_mf``'s statements for the instance
+    into a function kept in its ``__dict__`` as ``_formula``, which every
+    call runs.  It is not a field, so equality, hashing, ``repr`` and
+    ``dataclasses.replace`` ignore it, and pickles leave it out; a redundant
+    fill by concurrent first calls compiles the same formula.
+    """
+
+    _formula = None
 
     def __call__(self, x: float) -> float:
-        raise NotImplementedError
+        return (self._formula or self._compile())(x)
+
+    def _compile(self):
+        from . import _emit  # _emit imports this module
+        w = _emit.Writer()
+        _emit.emit_mf_def(w, self, "_mf")
+        formula = _emit.exec_emitted(w, "<membership function>", "_mf")
+        self.__dict__["_formula"] = formula
+        return formula
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_formula"}
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate on a grid, returning an array of degrees in [0, 1]."""
@@ -61,15 +80,6 @@ class Triangular(MembershipFunction):
                 f"triangular parameters must satisfy a <= b <= c, "
                 f"got ({self.a}, {self.b}, {self.c})")
 
-    def __call__(self, x: float) -> float:
-        if x == self.b:
-            return 1.0
-        if x <= self.a or x >= self.c:
-            return 0.0
-        if x < self.b:
-            return (x - self.a) / (self.b - self.a)
-        return (self.c - x) / (self.c - self.b)
-
     def sample(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
@@ -100,15 +110,6 @@ class Trapezoidal(MembershipFunction):
                 f"trapezoidal parameters must satisfy a <= b <= c <= d, "
                 f"got ({self.a}, {self.b}, {self.c}, {self.d})")
 
-    def __call__(self, x: float) -> float:
-        if self.b <= x <= self.c:
-            return 1.0
-        if x <= self.a or x >= self.d:
-            return 0.0
-        if x < self.b:
-            return (x - self.a) / (self.b - self.a)
-        return (self.d - x) / (self.d - self.c)
-
     def sample(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
@@ -135,10 +136,6 @@ class Gaussian(MembershipFunction):
         if not self.sigma > 0:
             raise ModelError(f"gaussian sigma must be positive, got {self.sigma}")
 
-    def __call__(self, x: float) -> float:
-        d = x - self.mu
-        return math.exp(-(d * d) / (2.0 * self.sigma * self.sigma))
-
     def sample(self, xs: np.ndarray) -> np.ndarray:
         d = np.asarray(xs, dtype=float) - self.mu
         return np.exp(-(d * d) / (2.0 * self.sigma * self.sigma))
@@ -152,9 +149,6 @@ class Singleton(MembershipFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "c", _as_float(self.c))
-
-    def __call__(self, x: float) -> float:
-        return 1.0 if x == self.c else 0.0
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         return np.where(np.asarray(xs, dtype=float) == self.c, 1.0, 0.0)
@@ -175,17 +169,6 @@ class GeneralizedBell(MembershipFunction):
             raise ModelError(f"bell width a must be positive, got {self.a}")
         if not self.b > 0:
             raise ModelError(f"bell slope b must be positive, got {self.b}")
-
-    def __call__(self, x: float) -> float:
-        t = abs((x - self.c) / self.a)
-        if t == 0.0:
-            return 1.0
-        z = 2.0 * self.b * math.log(t)
-        if z >= _EXP_CLAMP:
-            return 0.0
-        if z <= -_EXP_CLAMP:
-            return 1.0
-        return 1.0 / (1.0 + math.exp(z))
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         t = np.abs((np.asarray(xs, dtype=float) - self.c) / self.a)
@@ -211,14 +194,6 @@ class Sigmoid(MembershipFunction):
         object.__setattr__(self, "c", _as_float(self.c))
         if self.a == 0:
             raise ModelError("sigmoid slope a must be nonzero")
-
-    def __call__(self, x: float) -> float:
-        z = -self.a * (x - self.c)
-        if z >= _EXP_CLAMP:
-            return 0.0
-        if z <= -_EXP_CLAMP:
-            return 1.0
-        return 1.0 / (1.0 + math.exp(z))
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         z = -self.a * (np.asarray(xs, dtype=float) - self.c)
@@ -251,19 +226,6 @@ class PiecewiseLinear(MembershipFunction):
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_xs", tuple(p[0] for p in pts))
         object.__setattr__(self, "_ys", tuple(p[1] for p in pts))
-
-    def __call__(self, x: float) -> float:
-        xs, ys = self._xs, self._ys
-        if x <= xs[0]:
-            return ys[0]
-        if x >= xs[-1]:
-            return ys[-1]
-        if x != x:  # NaN lies in no segment
-            return x
-        i = bisect_right(xs, x) - 1
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[i], ys[i + 1]
-        return (x - x0) * (y1 - y0) / (x1 - x0) + y0
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         return np.interp(np.asarray(xs, dtype=float), self._xs, self._ys)

@@ -348,6 +348,10 @@ class FuzzySystem:
 
     __hash__ = None
 
+    def __getstate__(self):
+        # The memo holds compiled functions, which do not pickle.
+        return {**self.__dict__, "_curve_cache": {}}
+
     @property
     def input_names(self) -> tuple[str, ...]:
         return tuple(self.inputs)

@@ -259,8 +259,8 @@ def _polyline_system(polylines):
 
 
 def test_piecewise_linear_firing_equals_call():
-    # Compiled firing and generated antecedents (inline and helper forms)
-    # equal PiecewiseLinear.__call__ with ==: one, two and many nodes, flat
+    # Compiled firing, generated antecedents (inline and helper forms) and
+    # direct calls equal helpers.polyline with ==: one, two and many nodes, flat
     # and near-vertical segments, inputs on, beside, between and outside the
     # nodes.  NaN still gives NaN everywhere.
     rng = random.Random(120)
@@ -290,8 +290,9 @@ def test_piecewise_linear_firing_equals_call():
     inline = load(generate(fis, antecedents_only=True))
     helper = load(generate(fis, antecedents_only=True, inline_mfs=False))
     for v in probes:
-        want = tuple(mf(v) for mf in mfs)
-        for got in (tuple(fire_rules(fis, {"x": v})), inline(v), helper(v)):
+        want = tuple(helpers.t1_degree(mf, v) for mf in mfs)
+        for got in (tuple(fire_rules(fis, {"x": v})), inline(v), helper(v),
+                    tuple(mf(v) for mf in mfs)):
             assert got == want, (v, got, want)
     for got in (fire_rules(fis, {"x": math.nan}), inline(math.nan), helper(math.nan),
                 tuple(mf(math.nan) for mf in mfs)):

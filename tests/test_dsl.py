@@ -196,6 +196,24 @@ end
         parse_system(text)
 
 
+def test_loop_expansion_cap_names_origin_and_statement():
+    loop = """fis = @mamfis function f(x[1:2])::y
+    for i in 1:20000
+        x[1] == t --> y == u
+    end
+end
+"""
+    with pytest.raises(ParseError) as err:
+        parse_system(loop, origin="m.fzl")
+    assert str(err.value) == "m.fzl:2:5: loop expansion produces too many statements"
+    # Without a loop the statement past the cap is named: rule 10,001 on line 10,002.
+    flat = "fis = @mamfis function f(x)::y\n" + "    x == t --> y == u\n" * 10_001 + "end\n"
+    with pytest.raises(ParseError) as err:
+        parse_system(flat, origin="m.fzl")
+    assert (err.value.origin, err.value.line, err.value.column) == ("m.fzl", 10_002, 5)
+    assert str(err.value) == "m.fzl:10002:5: loop expansion produces too many statements"
+
+
 def test_undefined_variable_reported():
     with pytest.raises(ParseError, match="variable x has no definition"):
         parse_system("fis = @mamfis function f(x)::y\n    x == t --> y == u\nend")

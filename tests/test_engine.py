@@ -419,6 +419,25 @@ def test_aggregated_pickles_as_a_plain_dict(tipper):
     assert type(pickle.loads(pickle.dumps(res.aggregated))) is dict
 
 
+def test_used_systems_and_membership_functions_pickle(tipper):
+    # Memos stay out of the pickle: a system's lowering with its compiled
+    # functions, and a membership function's compiled formula.  A copy
+    # compares equal and refills its own.
+    import pickle
+
+    point = {"service": 3.0, "food": 8.0}
+    res = infer(tipper, point)
+    back = pickle.loads(pickle.dumps(tipper))
+    assert back == tipper and "lowering" in tipper._curve_cache
+    again = infer(back, point)
+    assert again.crisp == res.crisp and again.firing == res.firing
+    mf = Gaussian(2.0, 0.7)
+    value = mf(1.3)
+    mf_back = pickle.loads(pickle.dumps(mf))
+    assert mf_back == mf and hash(mf_back) == hash(mf) and repr(mf_back) == repr(mf)
+    assert mf_back(1.3) == value and mf(1.3) == value
+
+
 def test_aggregated_survives_replace_and_feeds_viz_and_eval(tmp_path, capsys, tipper):
     from fuzzkit.cli import main
     from fuzzkit.viz import plot_output

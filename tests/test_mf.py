@@ -2,6 +2,8 @@
 
 import math
 import random
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -184,3 +186,35 @@ def test_membership_functions_are_hashable_values():
     pts = ((0.0, 0.0), (1.0, 1.0))
     assert PiecewiseLinear(pts) == PiecewiseLinear(pts)
     assert hash(PiecewiseLinear(pts)) == hash(PiecewiseLinear(pts))
+
+
+def _same(a, b) -> bool:
+    """Same type and bits, any NaN matching any NaN."""
+    if type(a) is not type(b):
+        return False
+    return (a != a and b != b) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def test_calls_match_the_independent_oracle_bit_for_bit():
+    # Every kind against the hand-written formulas of ``helpers``: random
+    # points and each parameter or node (a branch point), points 10 past the
+    # domain, NaN and +-inf, as floats, ints and numpy floats.
+    rng = random.Random(14)
+    mfs = [(Singleton(2.5), -1.0, 5.0), (PiecewiseLinear(((1.0, 0.25),)), -1.0, 3.0)]
+    for family in ("tri", "trap", "gauss", "bell", "sig", "pl"):
+        for _ in range(50):
+            lo = rng.uniform(-50, 20)
+            hi = lo + rng.uniform(0.5, 60)
+            mfs.append((helpers.random_mf(rng, lo, hi, family), lo, hi))
+    checked = 0
+    for mf, lo, hi in mfs:
+        knots = [x for x, _ in mf.points] if isinstance(mf, PiecewiseLinear) \
+            else [getattr(mf, f.name) for f in fields(mf)]
+        xs = [rng.uniform(lo - 10, hi + 10) for _ in range(20)]
+        xs += knots + [lo - 10, hi + 10, math.nan, math.inf, -math.inf]
+        xs += [np.nextafter(k, math.inf) for k in knots] + [round(x) for x in knots]
+        xs += [np.float64(x) for x in xs]
+        for x in xs:
+            assert _same(mf(x), helpers.t1_degree(mf, x)), (mf, x)
+            checked += 1
+    assert checked > 15_000
