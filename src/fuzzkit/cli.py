@@ -57,6 +57,14 @@ def _load_model(path: str) -> FuzzySystem:
     return fis
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Failure(1, f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _parse_assignments(pairs: list[str]) -> dict[str, float]:
     inputs = {}
     for pair in pairs:
@@ -84,25 +92,20 @@ def _fmt(value: float) -> str:
 def cmd_eval(args) -> int:
     fis = _load_model(args.model)
     inputs = _parse_assignments(args.inputs)
-    try:
-        if args.pipeline == "eq1":
-            first = range(0, len(fis.rules) // 2)
-            second = range(len(fis.rules) // 2, len(fis.rules))
-            value = grouped_max_output(fis, inputs, args.gray_levels, first, second)
-            name = next(iter(fis.outputs))
-            crisp = {name: value}
-            firing = intervals = firing_intervals = None
-            degenerate: tuple = ()
-        else:
-            result = infer(fis, inputs)
-            crisp = result.crisp
-            firing = list(result.firing) if result.firing is not None else None
-            intervals, firing_intervals = result.intervals, result.firing_intervals
-            degenerate = result.degenerate
-    except MissingInputError as exc:
-        raise _Failure(2, str(exc))
-    except EvaluationError as exc:
-        raise _Failure(3, str(exc))
+    if args.pipeline == "eq1":
+        first = range(0, len(fis.rules) // 2)
+        second = range(len(fis.rules) // 2, len(fis.rules))
+        value = grouped_max_output(fis, inputs, args.gray_levels, first, second)
+        name = next(iter(fis.outputs))
+        crisp = {name: value}
+        firing = intervals = firing_intervals = None
+        degenerate: tuple = ()
+    else:
+        result = infer(fis, inputs)
+        crisp = result.crisp
+        firing = list(result.firing) if result.firing is not None else None
+        intervals, firing_intervals = result.intervals, result.firing_intervals
+        degenerate = result.degenerate
     if args.json:
         payload = {"crisp": {k: v for k, v in crisp.items()},
                    "firing": firing,
@@ -126,13 +129,7 @@ def cmd_eval(args) -> int:
 def cmd_convert(args) -> int:
     from .dsl import format_system
 
-    fis = _load_model(args.model)
-    text = format_system(fis)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _Failure(1, f"cannot write {args.out}: {exc.strerror or exc}")
+    _write(args.out, format_system(_load_model(args.model)))
     return 0
 
 
@@ -147,31 +144,20 @@ def cmd_plot(args) -> int:
         return 0
     if not args.out:
         raise _Failure(1, "plot needs an output file (or --ascii)")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(viz.render_system_svg(figure))
-    except OSError as exc:
-        raise _Failure(1, f"cannot write {args.out}: {exc.strerror or exc}")
+    _write(args.out, viz.render_system_svg(figure))
     return 0
 
 
 def cmd_codegen(args) -> int:
     fis = _load_model(args.model)
-    try:
-        text = codegen.generate(fis, function_name=args.name,
-                                inline_mfs=not args.helpers)
-    except CodegenError as exc:
-        raise _Failure(3, str(exc))
+    text = codegen.generate(fis, function_name=args.name,
+                            inline_mfs=not args.helpers)
     if args.stdout:
         print(text, end="")
         return 0
     if not args.out:
         raise _Failure(1, "codegen needs an output file (or --stdout)")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _Failure(1, f"cannot write {args.out}: {exc.strerror or exc}")
+    _write(args.out, text)
     return 0
 
 

@@ -1,7 +1,8 @@
-"""Textual fuzzy-system DSL: token table, recursive-descent parser, loop
-expansion, semantic checks and the canonical pretty-printer.  The token table
-is compiled by the lexer shared with the FCL reader (``interop.common``), and
-the parser extends the shared ``TokenCursor``.
+"""Textual fuzzy-system DSL: token table, recursive-descent parser that
+expands loops as it reads them, semantic checks and the canonical
+pretty-printer.  The token table is compiled by the lexer shared with the FCL
+reader (``interop.common``), and the parser extends the shared
+``TokenCursor``.
 
 Grammar (EBNF; statements are newline-terminated, otherwise whitespace does
 not matter, and ``#`` starts a comment running to end of line)::
@@ -31,9 +32,11 @@ not matter, and ``#`` starts a comment running to end of line)::
     name      := IDENT ["[" (INT | IDENT) "]"]
 
 ``&&`` binds tighter than ``||``, ``!`` tighter than both; both binary
-connectives are left-associative.  A ``name`` with an integer index folds to
-the concrete spelling immediately (``x[3]`` is ``x3``); an identifier index
-must be an enclosing loop variable and is rewritten by loop expansion.
+connectives are left-associative.  A ``name`` folds to one identifier as it
+is read: ``x[3]`` is ``x3``, and ``x[i]`` is ``x`` followed by the current
+value of ``i``, which must be an enclosing loop variable.  A loop's body is
+read once per value of its variable; an inner loop over the same name shadows
+the outer one until its ``end``.
 
 Settings lines select pipeline operators by name, e.g. ``and = ProdAnd``,
 ``defuzzifier = BisectorDefuzzifier``, ``resolution = 201``.
@@ -41,7 +44,7 @@ Settings lines select pipeline operators by name, e.g. ``and = ProdAnd``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ModelError, ParseError
 from .interop.common import Lexer, Token, TokenCursor
@@ -51,7 +54,7 @@ from .model import (And, Domain, EngineSettings, FuzzySystem, Not, Or,
                     SystemKind, Variable)
 from .norms import Defuzzifier, Implication, SNorm, TNorm
 
-_MAX_EXPANSION = 10_000  # statements after loop/vector expansion
+_MAX_EXPANSION = 10_000  # statements in one body, after loop/vector expansion
 
 _KINDS = {
     "mamfis": SystemKind.MAMDANI,
@@ -59,40 +62,44 @@ _KINDS = {
     "it2mamfis": SystemKind.MAMDANI_IT2,
 }
 
-_AND_NAMES = {
-    "MinAnd": TNorm.MIN,
-    "ProdAnd": TNorm.PROD,
-    "LukasiewiczAnd": TNorm.LUKASIEWICZ,
-    "DrasticAnd": TNorm.DRASTIC,
-    "NilpotentAnd": TNorm.NILPOTENT,
-    "HamacherAnd": TNorm.HAMACHER,
-}
-_OR_NAMES = {
-    "MaxOr": SNorm.MAX,
-    "ProbSumOr": SNorm.PROB_SUM,
-    "BoundedSumOr": SNorm.BOUNDED_SUM,
-    "DrasticOr": SNorm.DRASTIC,
-    "NilpotentOr": SNorm.NILPOTENT,
-    "EinsteinOr": SNorm.EINSTEIN,
-}
-_IMPLICATION_NAMES = {
-    "MinImplication": Implication.MIN,
-    "ProdImplication": Implication.PROD,
-}
-_AGGREGATOR_NAMES = {
-    "MaxAggregator": SNorm.MAX,
-    "ProbSumAggregator": SNorm.PROB_SUM,
-    "BoundedSumAggregator": SNorm.BOUNDED_SUM,
-    "DrasticAggregator": SNorm.DRASTIC,
-    "NilpotentAggregator": SNorm.NILPOTENT,
-    "EinsteinAggregator": SNorm.EINSTEIN,
-}
-_DEFUZZIFIER_NAMES = {
-    "CentroidDefuzzifier": Defuzzifier.CENTROID,
-    "BisectorDefuzzifier": Defuzzifier.BISECTOR,
-    "MeanOfMaximaDefuzzifier": Defuzzifier.MEAN_OF_MAXIMA,
-    "FirstOfMaximaDefuzzifier": Defuzzifier.FIRST_OF_MAXIMA,
-    "LastOfMaximaDefuzzifier": Defuzzifier.LAST_OF_MAXIMA,
+# DSL setting key -> (EngineSettings field, {value name: value}); the parser
+# reads and the formatter writes settings through this one table.
+_SETTINGS = {
+    "and": ("conjunction", {
+        "MinAnd": TNorm.MIN,
+        "ProdAnd": TNorm.PROD,
+        "LukasiewiczAnd": TNorm.LUKASIEWICZ,
+        "DrasticAnd": TNorm.DRASTIC,
+        "NilpotentAnd": TNorm.NILPOTENT,
+        "HamacherAnd": TNorm.HAMACHER,
+    }),
+    "or": ("disjunction", {
+        "MaxOr": SNorm.MAX,
+        "ProbSumOr": SNorm.PROB_SUM,
+        "BoundedSumOr": SNorm.BOUNDED_SUM,
+        "DrasticOr": SNorm.DRASTIC,
+        "NilpotentOr": SNorm.NILPOTENT,
+        "EinsteinOr": SNorm.EINSTEIN,
+    }),
+    "implication": ("implication", {
+        "MinImplication": Implication.MIN,
+        "ProdImplication": Implication.PROD,
+    }),
+    "aggregator": ("aggregation", {
+        "MaxAggregator": SNorm.MAX,
+        "ProbSumAggregator": SNorm.PROB_SUM,
+        "BoundedSumAggregator": SNorm.BOUNDED_SUM,
+        "DrasticAggregator": SNorm.DRASTIC,
+        "NilpotentAggregator": SNorm.NILPOTENT,
+        "EinsteinAggregator": SNorm.EINSTEIN,
+    }),
+    "defuzzifier": ("defuzzifier", {
+        "CentroidDefuzzifier": Defuzzifier.CENTROID,
+        "BisectorDefuzzifier": Defuzzifier.BISECTOR,
+        "MeanOfMaximaDefuzzifier": Defuzzifier.MEAN_OF_MAXIMA,
+        "FirstOfMaximaDefuzzifier": Defuzzifier.FIRST_OF_MAXIMA,
+        "LastOfMaximaDefuzzifier": Defuzzifier.LAST_OF_MAXIMA,
+    }),
 }
 
 
@@ -114,27 +121,7 @@ _LEXER = Lexer([
 
 
 # ---------------------------------------------------------------------------
-# Statement-level AST (pre-expansion)
-
-@dataclass(frozen=True)
-class VarName:
-    """Possibly-indexed variable spelling: ``x``, ``x[3]`` or ``x[i]``.
-
-    Integer indices are folded into the base immediately; only loop-variable
-    indices survive until expansion.
-    """
-
-    base: str
-    index: str | None
-    line: int
-    column: int
-
-    @property
-    def concrete(self) -> str:
-        if self.index is not None:
-            raise ValueError(f"name {self.base}[{self.index}] is not concrete")
-        return self.base
-
+# Statement-level AST (loops already expanded; names are IDENT tokens)
 
 @dataclass(frozen=True)
 class MFCall:
@@ -160,7 +147,7 @@ class TermDef:
 
 @dataclass(frozen=True)
 class VarDefStmt:
-    name: VarName
+    name: Token
     domain: tuple[float, float] | None
     terms: tuple[TermDef, ...]
     line: int
@@ -176,25 +163,15 @@ class SettingStmt:
 
 
 @dataclass(frozen=True)
-class LoopStmt:
-    var: str
-    lo: int
-    hi: int
-    body: tuple
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
 class PRel(Proposition):
-    var: VarName
+    var: Token
     term: str
 
 
 @dataclass(frozen=True)
 class RuleStmt:
     antecedent: Proposition
-    consequents: tuple[tuple[VarName, str], ...]
+    consequents: tuple[tuple[Token, str], ...]
     weight: float | None
     line: int
     column: int
@@ -215,6 +192,10 @@ class SystemAst:
 # Parser
 
 class _Parser(TokenCursor):
+    def __init__(self, tokens: list[Token], origin: str):
+        super().__init__(tokens, origin)
+        self.loop_values: dict[str, int] = {}  # each bound loop variable's value
+
     # -- token plumbing beyond the cursor's
 
     def expect_word(self, word: str) -> Token:
@@ -256,22 +237,25 @@ class _Parser(TokenCursor):
         self.next()
         return int(tok.value)
 
-    def var_name(self) -> VarName:
+    def var_name(self) -> Token:
+        """Read ``x``, ``x[3]`` or ``x[i]`` as one IDENT token at ``x``,
+        spelled ``x``, ``x3`` or ``x`` plus the value of loop variable ``i``."""
         ident = self.expect("IDENT", "an identifier")
         if self.peek().kind != "LBRACKET":
-            return VarName(ident.text, None, ident.line, ident.column)
+            return ident
         self.next()
         tok = self.peek()
-        if tok.kind == "NUMBER" and tok.is_int:
-            self.next()
-            self.expect("RBRACKET", "']'")
-            return VarName(f"{ident.text}{int(tok.value)}", None,
-                           ident.line, ident.column)
-        if tok.kind == "IDENT":
-            self.next()
-            self.expect("RBRACKET", "']'")
-            return VarName(ident.text, tok.text, ident.line, ident.column)
-        raise self.unexpected(tok, "an index (integer or loop variable)")
+        if tok.kind != "IDENT" and not (tok.kind == "NUMBER" and tok.is_int):
+            raise self.unexpected(tok, "an index (integer or loop variable)")
+        self.next()
+        self.expect("RBRACKET", "']'")
+        if tok.kind == "NUMBER":
+            index = int(tok.value)
+        elif tok.text in self.loop_values:
+            index = self.loop_values[tok.text]
+        else:
+            raise self.fail(f"loop variable {tok.text!r} used outside its loop", ident)
+        return ident._replace(text=f"{ident.text}{index}")
 
     # -- header
 
@@ -330,21 +314,27 @@ class _Parser(TokenCursor):
     # -- statements
 
     def parse_body(self) -> list:
+        """Read statements up to ``end`` or end of input, expanding loops.
+        Past ``_MAX_EXPANSION`` statements it raises at the statement (or
+        loop) that overflowed."""
         statements = []
         self.skip_newlines()
         while True:
             tok = self.peek()
-            if tok.kind == "EOF":
+            if tok.kind == "EOF" or tok.kind == "IDENT" and tok.text == "end":
                 return statements
-            if tok.kind == "IDENT" and tok.text == "end":
-                return statements
-            statements.append(self.parse_statement())
+            if tok.kind == "IDENT" and tok.text == "for":
+                passes = self.parse_loop()
+            else:
+                passes = [[self.parse_statement()]]
+            for part in passes:
+                statements.extend(part)
+                if len(statements) > _MAX_EXPANSION:
+                    raise self.fail("loop expansion produces too many statements", tok)
             self.skip_newlines()
 
     def parse_statement(self):
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "for":
-            return self.parse_loop()
         if tok.kind == "IDENT":
             after = self.peek(1)
             if after.kind == "DEFINE":
@@ -364,9 +354,11 @@ class _Parser(TokenCursor):
                     return self.parse_vardef()
         return self.parse_rule()
 
-    def parse_loop(self) -> LoopStmt:
+    def parse_loop(self):
+        """Yield the statements of each pass of a ``for`` loop, reading the
+        body again for each value of the loop variable."""
         start = self.expect_word("for")
-        var = self.expect("IDENT", "the loop variable")
+        var = self.expect("IDENT", "the loop variable").text
         self.expect_word("in")
         bounds_tok = self.peek()
         if bounds_tok.kind != "NUMBER":
@@ -376,13 +368,22 @@ class _Parser(TokenCursor):
         self.expect("COLON", "':'")
         hi = self.unsigned_int("loop bounds")
         self.end_statement()
-        body = self.parse_body()
+        body = self.pos
+        outer = dict(self.loop_values)
+        values = range(lo, hi + 1)
+        for value in values or [lo]:  # an empty range is read once, to find its end
+            self.pos = body
+            self.loop_values[var] = value
+            statements = self.parse_body()
+            # every pass reads the same statements: stop once one yields none
+            if not (values and statements):
+                break
+            yield statements
+        self.loop_values = outer
         self.expect_word("end")
         self.end_statement()
-        if lo > hi:
-            raise ParseError(f"empty loop range {lo}:{hi}", start.line, start.column,
-                             origin=self.origin)
-        return LoopStmt(var.text, lo, hi, tuple(body), start.line, start.column)
+        if not values:
+            raise self.fail(f"empty loop range {lo}:{hi}", start)
 
     def parse_vardef(self) -> VarDefStmt:
         name = self.var_name()
@@ -407,7 +408,7 @@ class _Parser(TokenCursor):
                 hi = self.signed_number()
                 self.end_statement()
                 if domain is not None:
-                    raise self.fail(f"duplicate domain for variable {name.base!r}", tok)
+                    raise self.fail(f"duplicate domain for variable {name.text!r}", tok)
                 domain = (lo.value, hi.value)
                 continue
             terms.append(self.parse_termdef())
@@ -521,7 +522,7 @@ class _Parser(TokenCursor):
         return RuleStmt(antecedent, tuple(consequents), weight,
                         start.line, start.column)
 
-    def parse_consequent(self) -> tuple[VarName, str]:
+    def parse_consequent(self) -> tuple[Token, str]:
         name = self.var_name()
         self.expect("EQEQ", "'=='")
         term = self.expect("IDENT", "a term name")
@@ -563,72 +564,7 @@ class _Parser(TokenCursor):
 
 
 # ---------------------------------------------------------------------------
-# Loop expansion
-
-def expand_loops(statements, origin: str = "<inline>") -> tuple:
-    """Replicate every ``for i in lo:hi`` block, rewriting indexed names.
-
-    Returns a loop-free statement tuple; nested loops expand inside out with
-    ordinary shadowing for reused index names.  Past ``_MAX_EXPANSION``
-    statements it raises at the statement that overflowed.
-    """
-    out: list = []
-    for st in statements:
-        if isinstance(st, LoopStmt):
-            parts = (expand_loops(tuple(_substitute(s, st.var, i) for s in st.body), origin)
-                     for i in range(st.lo, st.hi + 1))
-        else:
-            parts = ((st,),)
-        for part in parts:
-            out.extend(part)
-            if len(out) > _MAX_EXPANSION:
-                raise ParseError("loop expansion produces too many statements",
-                                 st.line, st.column, origin=origin)
-    return tuple(out)
-
-
-def _subst_name(name: VarName, var: str, i: int) -> VarName:
-    if name.index == var:
-        return VarName(f"{name.base}{i}", None, name.line, name.column)
-    return name
-
-
-def _subst_prop(p: Proposition, var: str, i: int) -> Proposition:
-    if isinstance(p, PRel):
-        return PRel(_subst_name(p.var, var, i), p.term)
-    if isinstance(p, And):
-        return And(_subst_prop(p.left, var, i), _subst_prop(p.right, var, i))
-    if isinstance(p, Or):
-        return Or(_subst_prop(p.left, var, i), _subst_prop(p.right, var, i))
-    if isinstance(p, Not):
-        return Not(_subst_prop(p.operand, var, i))
-    return p
-
-
-def _substitute(st, var: str, i: int):
-    if isinstance(st, VarDefStmt):
-        return replace(st, name=_subst_name(st.name, var, i))
-    if isinstance(st, RuleStmt):
-        return replace(
-            st,
-            antecedent=_subst_prop(st.antecedent, var, i),
-            consequents=tuple((_subst_name(n, var, i), t) for n, t in st.consequents))
-    if isinstance(st, LoopStmt):
-        if st.var == var:  # inner loop shadows the outer index
-            return st
-        return replace(st, body=tuple(_substitute(s, var, i) for s in st.body))
-    return st
-
-
-# ---------------------------------------------------------------------------
 # Semantic analysis: statements -> FuzzySystem
-
-def _concrete(name: VarName, origin: str) -> str:
-    if name.index is not None:
-        raise ParseError(f"loop variable {name.index!r} used outside its loop",
-                         name.line, name.column, origin=origin)
-    return name.base
-
 
 class _Builder:
     def __init__(self, ast: SystemAst, origin: str):
@@ -674,7 +610,7 @@ class _Builder:
             raise ParseError(str(exc), ast.line, ast.column, origin=self.origin)
 
     def add_variable(self, st: VarDefStmt, declared: set) -> None:
-        name = _concrete(st.name, self.origin)
+        name = st.name.text
         if name not in declared:
             raise self.fail(f"variable {name!r} is not declared in the header", st)
         if name in self.vars:
@@ -752,21 +688,15 @@ class _Builder:
 
     def add_setting(self, st: SettingStmt) -> None:
         key = st.key
-        tables = {"and": ("conjunction", _AND_NAMES),
-                  "or": ("disjunction", _OR_NAMES),
-                  "implication": ("implication", _IMPLICATION_NAMES),
-                  "aggregator": ("aggregation", _AGGREGATOR_NAMES),
-                  "defuzzifier": ("defuzzifier", _DEFUZZIFIER_NAMES)}
         if key == "resolution":
             if not isinstance(st.value, int):
                 raise self.fail("resolution must be an integer literal", st)
             self.settings_kw["resolution"] = st.value
             return
-        if key not in tables:
+        if key not in _SETTINGS:
             raise self.fail(f"unknown setting {key!r}", st,
-                            expected="'and', 'or', 'implication', 'aggregator', "
-                                     "'defuzzifier' or 'resolution'")
-        field_name, names = tables[key]
+                            expected=", ".join(map(repr, _SETTINGS)) + " or 'resolution'")
+        field_name, names = _SETTINGS[key]
         value = names.get(st.value) if isinstance(st.value, str) else None
         if value is None:
             raise self.fail(f"unknown value {st.value!r} for setting {key!r}", st,
@@ -777,7 +707,7 @@ class _Builder:
         antecedent = self.resolve_prop(st.antecedent)
         consequents = []
         for name, term in st.consequents:
-            var_name = _concrete(name, self.origin)
+            var_name = name.text
             if var_name not in self.ast.outputs:
                 raise ParseError(f"rule consequent {var_name!r} is not an output "
                                  f"variable", name.line, name.column, origin=self.origin)
@@ -793,7 +723,7 @@ class _Builder:
 
     def resolve_prop(self, p: Proposition) -> Proposition:
         if isinstance(p, PRel):
-            var_name = _concrete(p.var, self.origin)
+            var_name = p.var.text
             if var_name not in self.ast.inputs:
                 kind = "an output" if var_name in self.ast.outputs else "an unknown"
                 raise ParseError(f"rule antecedent references {var_name!r}, "
@@ -814,7 +744,7 @@ class _Builder:
 
 
 def parse_ast(text: str, origin: str = "<inline>") -> SystemAst:
-    """Parse source into the raw statement AST, loops not yet expanded."""
+    """Parse source into the statement AST, loops expanded."""
     if not isinstance(text, str):
         raise ParseError("source must be text", origin=origin)
     parser = _Parser(_LEXER.tokens(text, origin), origin)
@@ -833,20 +763,13 @@ def parse_system(text: str, origin: str = "<inline>") -> FuzzySystem:
     Raises :class:`ParseError` (with line/column) for any malformed input;
     never raises anything else, however garbled the source.
     """
-    ast = parse_ast(text, origin)
-    expanded = replace(ast, body=expand_loops(ast.body, origin))
-    return _Builder(expanded, origin).build()
+    return _Builder(parse_ast(text, origin), origin).build()
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printer
 
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
-_AND_BACK = {v: k for k, v in _AND_NAMES.items()}
-_OR_BACK = {v: k for k, v in _OR_NAMES.items()}
-_IMPLICATION_BACK = {v: k for k, v in _IMPLICATION_NAMES.items()}
-_AGGREGATOR_BACK = {v: k for k, v in _AGGREGATOR_NAMES.items()}
-_DEFUZZIFIER_BACK = {v: k for k, v in _DEFUZZIFIER_NAMES.items()}
 
 _MF_NAMES = {cls: name for name, cls in MF_CONSTRUCTORS.items()}
 
@@ -926,12 +849,9 @@ def format_system(fis: FuzzySystem) -> str:
     for rule in fis.rules:
         lines.append(f"    {format_rule(rule)}")
     lines.append("")
-    settings = fis.settings
-    lines.append(f"    and = {_AND_BACK[settings.conjunction]}")
-    lines.append(f"    or = {_OR_BACK[settings.disjunction]}")
-    lines.append(f"    implication = {_IMPLICATION_BACK[settings.implication]}")
-    lines.append(f"    aggregator = {_AGGREGATOR_BACK[settings.aggregation]}")
-    lines.append(f"    defuzzifier = {_DEFUZZIFIER_BACK[settings.defuzzifier]}")
-    lines.append(f"    resolution = {settings.resolution}")
+    for key, (field_name, names) in _SETTINGS.items():
+        value = getattr(fis.settings, field_name)
+        lines.append(f"    {key} = {next(n for n, v in names.items() if v is value)}")
+    lines.append(f"    resolution = {fis.settings.resolution}")
     lines.append("end")
     return "\n".join(lines) + "\n"

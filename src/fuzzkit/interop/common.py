@@ -145,6 +145,8 @@ class TokenCursor:
         self.depth = 0
 
     def peek(self, offset: int = 0) -> Token:
+        if not offset:  # ``pos`` never passes the final EOF token
+            return self.tokens[self.pos]
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def next(self) -> Token:

@@ -8,8 +8,8 @@ import helpers
 from fuzzkit import (Defuzzifier, Gaussian, Or, ParseError, Relation, SNorm,
                      SugenoConstant, SugenoLinear, SystemKind, TNorm,
                      Trapezoidal, Triangular, corpus)
-from fuzzkit.dsl import (LoopStmt, expand_loops, format_proposition,
-                         format_rule, format_system, parse_ast, parse_system)
+from fuzzkit.dsl import (format_proposition, format_rule, format_system,
+                         parse_ast, parse_system)
 from fuzzkit.interop.common import Token
 
 
@@ -63,8 +63,8 @@ def test_denoise_parses_with_loops_expanded():
     assert len(fis.rules) == 26
     assert fis.inputs["x3"].terms["POS"] == Triangular(-255.0, 255.0, 765.0)
     assert fis.inputs["x3"].terms["NEG"] == Triangular(-765.0, -255.0, 255.0)
-    flat = expand_loops(parse_ast(corpus.load_text("denoise.fzl")).body)
-    assert not any(isinstance(s, LoopStmt) for s in flat)
+    # the parser expands loops as it reads them: 8 + 1 variables, 26 rules
+    assert len(parse_ast(corpus.load_text("denoise.fzl")).body) == 35
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +297,101 @@ end
     assert parse_system(format_system(fis)) == fis
     mf = fis.inputs["x"].terms["t"]
     assert mf(2.5) == 1.0 and mf(0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Loop semantics
+
+_LOOP_DEFS = """fis = @mamfis function f(x[1:4], z[1:3])::y[1:2]
+for i in 1:4
+    x[i] := begin
+        domain = 0:10
+        t = TriangularMF(0.0, 5.0, 10.0)
+        s = TriangularMF(2.0, 5.0, 8.0)
+    end
+end
+for k in 1:1
+    for i in 1:2
+        y[i] := begin
+            domain = 0:10
+            u = TriangularMF(0.0, 5.0, 10.0)
+        end
+    end
+    for j in 1:3
+        z[j] := begin
+            domain = 0:10
+            t = TriangularMF(0.0, 5.0, 10.0)
+        end
+    end
+end
+"""
+_LOOP_BODY_LINE = _LOOP_DEFS.count("\n") + 1  # line of the first body line
+
+
+@pytest.mark.parametrize("body, rules", [
+    # nested loops expand i-major, indices reaching antecedents and consequents
+    ("""for i in 1:2
+    for j in 1:3
+        x[i] == t && z[j] == t --> y[i] == u
+    end
+end""", ["x1 == t && z1 == t --> y1 == u", "x1 == t && z2 == t --> y1 == u",
+         "x1 == t && z3 == t --> y1 == u", "x2 == t && z1 == t --> y2 == u",
+         "x2 == t && z2 == t --> y2 == u", "x2 == t && z3 == t --> y2 == u"]),
+    # an inner loop reusing the name shadows the outer one until its `end`
+    ("""for i in 1:2
+    for i in 3:4
+        x[i] == t --> y[1] == u
+    end
+    x[i] == s --> y[i] == u
+end""", ["x3 == t --> y1 == u", "x4 == t --> y1 == u", "x1 == s --> y1 == u",
+         "x3 == t --> y1 == u", "x4 == t --> y1 == u", "x2 == s --> y2 == u"]),
+    # literal indices, negation, grouping and weights inside a loop
+    ("""for j in 2:3
+    !(z[j] == t) || x[4] == s --> y[1] == u, y[2] == u * 0.5
+end""", ["!z2 == t || x4 == s --> y1 == u, y2 == u * 0.5",
+         "!z3 == t || x4 == s --> y1 == u, y2 == u * 0.5"]),
+], ids=["nested", "shadowed", "literal-index"])
+def test_loops_expand_in_order(body, rules):
+    fis = parse_system(f"{_LOOP_DEFS}{body}\nend\n")
+    assert [format_rule(r) for r in fis.rules] == rules
+    assert list(fis.inputs) == ["x1", "x2", "x3", "x4", "z1", "z2", "z3"]
+    assert list(fis.outputs) == ["y1", "y2"]
+    assert set(fis.inputs["x3"].terms) == {"t", "s"}
+    assert set(fis.inputs["z2"].terms) == {"t"}
+
+
+@pytest.mark.parametrize("body, message, line, column", [
+    ("x[j] == t --> y[1] == u", "loop variable 'j' used outside its loop", 0, 1),
+    ("    x[1] == t --> y[j] == u", "loop variable 'j' used outside its loop", 0, 19),
+    ("for i in 1:2\n    x[j] == t --> y[i] == u\nend",
+     "loop variable 'j' used outside its loop", 1, 5),
+    ("for i in 1:2\n    x[i] == t && z[j] == t --> y[i] == u\nend",
+     "loop variable 'j' used outside its loop", 1, 18),
+    ("for i in 1:2\n    for j in 1:2\n        x[j] == t --> y[i] == u\n    end\n"
+     "    x[j] == t --> y[i] == u\nend",
+     "loop variable 'j' used outside its loop", 4, 5),
+    # the cap names the statement whose expansion overflowed
+    ("for i in 1:1\n    for j in 1:20000\n        x[1] == t --> y[1] == u\n    end\nend",
+     "loop expansion produces too many statements", 1, 5),
+    ("for i in 2:1\n    x[i] == t --> y[1] == u\nend", "empty loop range 2:1", 0, 1),
+], ids=["antecedent", "consequent", "in-loop", "in-loop-conjunct", "after-inner-end",
+        "nested-cap", "empty-range"])
+def test_loop_errors_name_the_position(body, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_system(f"{_LOOP_DEFS}{body}\nend\n", origin="m.fzl")
+    assert (err.value.message, err.value.line, err.value.column) == (
+        message, _LOOP_BODY_LINE + line, column)
+
+
+def test_loops_whose_body_yields_nothing_are_read_once():
+    # Every pass reads the same statements, so an empty body is not walked
+    # over its whole range; nested empty loops do not multiply.
+    rule = "x[1] == t --> y[1] == u, y[2] == u\n"
+    empty = (f"{_LOOP_DEFS}for i in 1:1000000000000\n    # nothing here\nend\n{rule}"
+             "for i in 1:100000\n    for j in 1:100000\n    end\nend\nend\n")
+    assert parse_system(empty) == parse_system(f"{_LOOP_DEFS}{rule}end\n")
+    # a body that yields statements still stops at the cap, on the loop
+    with pytest.raises(ParseError) as err:
+        parse_system(f"{_LOOP_DEFS}for i in 1:1000000000000\n    {rule}end\nend\n")
+    assert (err.value.message, err.value.line) == (
+        "loop expansion produces too many statements", _LOOP_BODY_LINE)
