@@ -1,8 +1,14 @@
-"""Textual fuzzy-system DSL: token table, recursive-descent parser that
-expands loops as it reads them, semantic checks and the canonical
-pretty-printer.  The token table is compiled by the lexer shared with the FCL
-reader (``interop.common``), and the parser extends the shared
-``TokenCursor``.
+"""Textual fuzzy-system DSL: token table, one-pass recursive-descent parser
+and the canonical pretty-printer.  The token table is compiled by the lexer
+shared with the FCL reader (``interop.common``), and the parser extends the
+shared ``TokenCursor``.
+
+The parser builds the system as it reads: each variable block becomes a
+``Variable`` at its ``end``, each term and setting is checked where it
+stands, and loops are expanded by reading their body once per value.  Only
+the names a rule uses wait: a rule may name a variable defined further
+down, so they are checked, in text order, once the whole body is read.
+Errors therefore come in reading order, and every one is a ``ParseError``.
 
 Grammar (EBNF; statements are newline-terminated, otherwise whitespace does
 not matter, and ``#`` starts a comment running to end of line)::
@@ -36,7 +42,8 @@ connectives are left-associative.  A ``name`` folds to one identifier as it
 is read: ``x[3]`` is ``x3``, and ``x[i]`` is ``x`` followed by the current
 value of ``i``, which must be an enclosing loop variable.  A loop's body is
 read once per value of its variable; an inner loop over the same name shadows
-the outer one until its ``end``.
+the outer one until its ``end``.  Loops and expressions share one nesting
+limit, ``MAX_NESTING``.
 
 Settings lines select pipeline operators by name, e.g. ``and = ProdAnd``,
 ``defuzzifier = BisectorDefuzzifier``, ``resolution = 201``.
@@ -44,7 +51,7 @@ Settings lines select pipeline operators by name, e.g. ``and = ProdAnd``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .errors import ModelError, ParseError
 from .interop.common import Lexer, Token, TokenCursor
@@ -121,80 +128,61 @@ _LEXER = Lexer([
 
 
 # ---------------------------------------------------------------------------
-# Statement-level AST (loops already expanded; names are IDENT tokens)
-
-@dataclass(frozen=True)
-class MFCall:
-    ctor: str
-    args: tuple
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class SugenoExpr:
-    coeffs: tuple[tuple[str, float], ...]
-    offset: float
-
-
-@dataclass(frozen=True)
-class TermDef:
-    name: str
-    rhs: object
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class VarDefStmt:
-    name: Token
-    domain: tuple[float, float] | None
-    terms: tuple[TermDef, ...]
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class SettingStmt:
-    key: str
-    value: object
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class PRel(Proposition):
-    var: Token
-    term: str
-
-
-@dataclass(frozen=True)
-class RuleStmt:
-    antecedent: Proposition
-    consequents: tuple[tuple[Token, str], ...]
-    weight: float | None
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class SystemAst:
-    kind: SystemKind
-    name: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    body: tuple
-    line: int = 1
-    column: int = 1
-
-
-# ---------------------------------------------------------------------------
-# Parser
+# Parser: builds the system as it reads
 
 class _Parser(TokenCursor):
+    too_deep = "loop or expression nested too deeply"
+
     def __init__(self, tokens: list[Token], origin: str):
         super().__init__(tokens, origin)
         self.loop_values: dict[str, int] = {}  # each bound loop variable's value
+        self.kind = SystemKind.MAMDANI
+        self.inputs: tuple[str, ...] = ()
+        self.outputs: tuple[str, ...] = ()
+        self.vars: dict[str, Variable] = {}
+        self.settings_kw: dict = {}
+        # one entry per rule read: (first token, antecedent, consequents,
+        # weight, refs); refs lists (name token, term, in antecedent?) in text
+        # order, checked once the body is read, since a rule may name a
+        # variable defined further down
+        self.rules: list[tuple] = []
+        self.refs: list[tuple[Token, str, bool]] = []
+
+    def parse(self) -> FuzzySystem:
+        name, head = self.parse_header()
+        self.parse_body()
+        self.expect_word("end")
+        self.skip_newlines()
+        self.expect("EOF", "end of input")
+        for var in (*self.inputs, *self.outputs):
+            if var not in self.vars:
+                raise self.fail(f"variable {var} has no definition", head)
+        rules = []
+        for start, antecedent, consequents, weight, refs in self.rules:
+            for tok, term, in_antecedent in refs:
+                var = tok.text
+                if in_antecedent and var not in self.inputs:
+                    role = "an output" if var in self.outputs else "an unknown"
+                    raise self.fail(f"rule antecedent references {var!r}, "
+                                    f"{role} variable", tok)
+                if not in_antecedent and var not in self.outputs:
+                    raise self.fail(f"rule consequent {var!r} is not an output "
+                                    f"variable", tok)
+                if term not in self.vars[var].terms:
+                    raise self.fail(f"variable {var!r} has no term {term!r}", tok)
+            if not 0.0 <= weight <= 1.0:
+                raise self.fail(f"rule weight must lie in [0, 1], got {weight:g}", start)
+            rules.append(Rule(antecedent, consequents, weight))
+        try:
+            return FuzzySystem(
+                name=name,
+                kind=self.kind,
+                inputs={n: self.vars[n] for n in self.inputs},
+                outputs={n: self.vars[n] for n in self.outputs},
+                rules=tuple(rules),
+                settings=EngineSettings(**self.settings_kw))
+        except ModelError as exc:
+            raise self.fail(str(exc), head)
 
     # -- token plumbing beyond the cursor's
 
@@ -229,13 +217,21 @@ class _Parser(TokenCursor):
             num = self.expect("NUMBER", "a number")
         return num._replace(value=sign * num.value)
 
+    def integer(self, tok: Token) -> int:
+        # An integer token holds only decimal digits: int() keeps them all,
+        # where the token's float value rounds past 2**53 and overflows.
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise self.fail("integer literal too long", tok)
+
     def unsigned_int(self, what: str) -> int:
         tok = self.peek()
         if tok.kind != "NUMBER" or not tok.is_int:
             raise self.fail(f"{what} must be integer literals", tok,
                             expected="an integer")
         self.next()
-        return int(tok.value)
+        return self.integer(tok)
 
     def var_name(self) -> Token:
         """Read ``x``, ``x[3]`` or ``x[i]`` as one IDENT token at ``x``,
@@ -250,7 +246,7 @@ class _Parser(TokenCursor):
         self.next()
         self.expect("RBRACKET", "']'")
         if tok.kind == "NUMBER":
-            index = int(tok.value)
+            index = self.integer(tok)
         elif tok.text in self.loop_values:
             index = self.loop_values[tok.text]
         else:
@@ -259,7 +255,7 @@ class _Parser(TokenCursor):
 
     # -- header
 
-    def parse_header(self) -> tuple[SystemKind, str, tuple[str, ...], tuple[str, ...], Token]:
+    def parse_header(self) -> tuple[str, Token]:
         self.skip_newlines()
         first = self.peek()
         if first.kind == "IDENT" and first.text == "fis" and self.peek(1).kind == "EQ":
@@ -270,21 +266,23 @@ class _Parser(TokenCursor):
         tok = self.peek()
         if tok.kind != "IDENT" or tok.text not in _KINDS:
             raise self.unexpected(tok, "'mamfis', 'sugfis' or 'it2mamfis'")
-        kind = _KINDS[self.next().text]
+        self.kind = _KINDS[self.next().text]
         self.expect_word("function")
-        name = self.expect("IDENT", "the system name")
+        name = self.expect("IDENT", "the system name").text
         self.expect("LPAREN", "'('")
-        inputs = self.parse_param_list("RPAREN")
+        self.inputs = tuple(self.parse_param_list("RPAREN"))
         self.expect("RPAREN", "')'")
         self.expect("DCOLON", "'::'")
         if self.peek().kind == "LPAREN":
             self.next()
-            outputs = self.parse_param_list("RPAREN")
+            self.outputs = tuple(self.parse_param_list("RPAREN"))
             self.expect("RPAREN", "')'")
         else:
-            outputs = self.parse_param("output declarations")
+            self.outputs = tuple(self.parse_param("output declarations"))
         self.end_statement()
-        return kind, name.text, tuple(inputs), tuple(outputs), tok
+        if len({*self.inputs, *self.outputs}) != len(self.inputs) + len(self.outputs):
+            raise self.fail(f"duplicate variable in header of {name!r}", tok)
+        return name, tok
 
     def parse_param_list(self, closer: str) -> list[str]:
         names: list[str] = []
@@ -313,27 +311,28 @@ class _Parser(TokenCursor):
 
     # -- statements
 
-    def parse_body(self) -> list:
-        """Read statements up to ``end`` or end of input, expanding loops.
-        Past ``_MAX_EXPANSION`` statements it raises at the statement (or
-        loop) that overflowed."""
-        statements = []
+    def parse_body(self) -> int:
+        """Read statements up to ``end`` or end of input, expanding loops,
+        and return how many were read.  Past ``_MAX_EXPANSION`` statements
+        it raises at the statement (or loop) that overflowed."""
+        count = 0
         self.skip_newlines()
         while True:
             tok = self.peek()
             if tok.kind == "EOF" or tok.kind == "IDENT" and tok.text == "end":
-                return statements
+                return count
             if tok.kind == "IDENT" and tok.text == "for":
                 passes = self.parse_loop()
             else:
-                passes = [[self.parse_statement()]]
-            for part in passes:
-                statements.extend(part)
-                if len(statements) > _MAX_EXPANSION:
+                self.parse_statement()
+                passes = (1,)
+            for n in passes:
+                count += n
+                if count > _MAX_EXPANSION:
                     raise self.fail("loop expansion produces too many statements", tok)
             self.skip_newlines()
 
-    def parse_statement(self):
+    def parse_statement(self) -> None:
         tok = self.peek()
         if tok.kind == "IDENT":
             after = self.peek(1)
@@ -355,9 +354,11 @@ class _Parser(TokenCursor):
         return self.parse_rule()
 
     def parse_loop(self):
-        """Yield the statements of each pass of a ``for`` loop, reading the
-        body again for each value of the loop variable."""
+        """Yield the statement count of each pass of a ``for`` loop, reading
+        the body again for each value of the loop variable.  Loop nesting
+        counts against the cursor's ``MAX_NESTING``."""
         start = self.expect_word("for")
+        self.enter(start)
         var = self.expect("IDENT", "the loop variable").text
         self.expect_word("in")
         bounds_tok = self.peek()
@@ -368,63 +369,97 @@ class _Parser(TokenCursor):
         self.expect("COLON", "':'")
         hi = self.unsigned_int("loop bounds")
         self.end_statement()
+        if lo > hi:
+            raise self.fail(f"empty loop range {lo}:{hi}", start)
         body = self.pos
         outer = dict(self.loop_values)
-        values = range(lo, hi + 1)
-        for value in values or [lo]:  # an empty range is read once, to find its end
+        for value in range(lo, hi + 1):
             self.pos = body
             self.loop_values[var] = value
-            statements = self.parse_body()
-            # every pass reads the same statements: stop once one yields none
-            if not (values and statements):
+            count = self.parse_body()
+            # every pass reads the same statements: stop once one reads none
+            if not count:
                 break
-            yield statements
+            yield count
         self.loop_values = outer
+        self.leave()
         self.expect_word("end")
         self.end_statement()
-        if not values:
-            raise self.fail(f"empty loop range {lo}:{hi}", start)
 
-    def parse_vardef(self) -> VarDefStmt:
+    def parse_vardef(self) -> None:
         name = self.var_name()
+        var = name.text
         self.expect("DEFINE", "':='")
         self.expect_word("begin")
         self.end_statement()
+        if var not in self.inputs and var not in self.outputs:
+            raise self.fail(f"variable {var!r} is not declared in the header", name)
+        if var in self.vars:
+            raise self.fail(f"duplicate variable definition {var!r}", name)
+        is_output = var in self.outputs
         domain = None
-        terms: list[TermDef] = []
+        terms: dict = {}
         while True:
             tok = self.peek()
             if tok.kind == "IDENT" and tok.text == "end":
                 self.next()
                 self.end_statement()
-                return VarDefStmt(name, domain, tuple(terms), name.line, name.column)
+                break
             if tok.kind == "EOF":
                 raise self.fail("unterminated variable block", tok, expected="'end'")
             if tok.kind == "IDENT" and tok.text == "domain":
                 self.next()
                 self.expect("EQ", "'='")
-                lo = self.signed_number()
+                lo = self.signed_number().value
                 self.expect("COLON", "':'")
-                hi = self.signed_number()
+                hi = self.signed_number().value
                 self.end_statement()
                 if domain is not None:
-                    raise self.fail(f"duplicate domain for variable {name.text!r}", tok)
-                domain = (lo.value, hi.value)
+                    raise self.fail(f"duplicate domain for variable {var!r}", tok)
+                if not lo < hi:
+                    raise self.fail(f"domain of {var!r} must satisfy lo < hi, "
+                                    f"got {lo:g}:{hi:g}", name)
+                domain = (lo, hi)
                 continue
-            terms.append(self.parse_termdef())
+            if tok.text in terms:
+                raise self.fail(f"duplicate term {tok.text!r} in variable {var!r}", tok)
+            terms[tok.text] = self.parse_termdef(is_output)
+        if domain is None:
+            raise self.fail(f"variable {var!r} has no domain", name)
+        if not terms:
+            raise self.fail(f"variable {var!r} declares no terms", name)
+        try:
+            self.vars[var] = Variable(var, Domain(*domain), terms)
+        except ModelError as exc:
+            raise self.fail(str(exc), name)
 
-    def parse_termdef(self) -> TermDef:
+    def parse_termdef(self, is_output: bool):
         name = self.expect("IDENT", "a term name")
         self.expect("EQ", "'='")
-        tok = self.peek()
-        if tok.kind == "IDENT" and self.peek(1).kind == "LPAREN":
-            rhs = self.parse_mfcall()
-        else:
-            rhs = self.parse_sugeno_expr()
+        sugeno_output = self.kind is SystemKind.SUGENO and is_output
+        if self.peek().kind == "IDENT" and self.peek(1).kind == "LPAREN":
+            value = self.parse_mfcall()
+            self.end_statement()
+            if sugeno_output:
+                raise self.fail("sugfis output terms must be constants or linear "
+                                "expressions", name)
+            it2 = self.kind is SystemKind.MAMDANI_IT2
+            if it2 and not isinstance(value, IntervalMF):
+                raise self.fail("it2mamfis terms must be IntervalMF pairs", name)
+            if not it2 and isinstance(value, IntervalMF):
+                raise self.fail("IntervalMF terms require an it2mamfis system", name)
+            return value
+        coeffs, offset = self.parse_sugeno_expr()
         self.end_statement()
-        return TermDef(name.text, rhs, name.line, name.column)
+        if not sugeno_output:
+            raise self.fail("numeric consequents are only valid in sugfis "
+                            "output blocks", name)
+        try:
+            return SugenoLinear(coeffs, offset) if coeffs else SugenoConstant(offset)
+        except ModelError as exc:
+            raise self.fail(str(exc), name)
 
-    def parse_mfcall(self) -> MFCall:
+    def parse_mfcall(self) -> MembershipFunction | IntervalMF:
         ctor = self.expect("IDENT", "a membership constructor")
         open_paren = self.expect("LPAREN", "'('")
         self.enter(open_paren)
@@ -436,7 +471,30 @@ class _Parser(TokenCursor):
                 args.append(self.parse_mfarg())
         self.expect("RPAREN", "')'")
         self.leave()
-        return MFCall(ctor.text, tuple(args), ctor.line, ctor.column)
+        try:
+            if ctor.text == "IntervalMF":
+                if len(args) != 2 or not all(
+                        isinstance(a, (MembershipFunction, IntervalMF)) for a in args):
+                    raise self.fail("IntervalMF takes two membership constructors", ctor)
+                if isinstance(args[0], IntervalMF) or isinstance(args[1], IntervalMF):
+                    raise self.fail("IntervalMF cannot nest", ctor)
+                return IntervalMF(*args)
+            cls = MF_CONSTRUCTORS.get(ctor.text)
+            if cls is None:
+                raise self.fail(f"unknown membership constructor {ctor.text!r}", ctor,
+                                expected=" | ".join([*MF_CONSTRUCTORS, "IntervalMF"]))
+            if cls is PiecewiseLinear:
+                if not all(isinstance(a, tuple) for a in args):
+                    raise self.fail("PiecewiseLinearMF takes (x, y) pairs", ctor)
+                return PiecewiseLinear(tuple(args))
+            if not all(isinstance(a, float) for a in args):
+                raise self.fail(f"{ctor.text} takes numeric parameters", ctor)
+            try:
+                return cls(*args)
+            except TypeError:
+                raise self.fail(f"wrong number of parameters for {ctor.text}", ctor)
+        except ModelError as exc:
+            raise self.fail(str(exc), ctor)
 
     def parse_mfarg(self):
         tok = self.peek()
@@ -451,7 +509,8 @@ class _Parser(TokenCursor):
             return (x.value, y.value)
         return self.signed_number().value
 
-    def parse_sugeno_expr(self) -> SugenoExpr:
+    def parse_sugeno_expr(self) -> tuple[tuple[tuple[str, float], ...], float]:
+        """Read a Sugeno consequent as ``(coeffs, offset)``."""
         coeffs: list[tuple[str, float]] = []
         offset = None
         sign = 1.0
@@ -489,44 +548,57 @@ class _Parser(TokenCursor):
                 raise self.unexpected(tok, "a constant or linear term")
             first = False
             sign = 1.0
-        return SugenoExpr(tuple(coeffs), 0.0 if offset is None else offset)
+        return tuple(coeffs), 0.0 if offset is None else offset
 
-    def parse_setting(self) -> SettingStmt:
+    def parse_setting(self) -> None:
         key = self.expect("IDENT", "a setting name")
         self.expect("EQ", "'='")
         tok = self.peek()
         if tok.kind == "IDENT":
-            self.next()
             value: object = tok.text
         elif tok.kind == "NUMBER":
-            self.next()
-            value = int(tok.value) if tok.is_int else tok.value
+            value = self.integer(tok) if tok.is_int else tok.value
         else:
             raise self.unexpected(tok, "a setting value")
+        self.next()
         self.end_statement()
-        return SettingStmt(key.text, value, key.line, key.column)
+        if key.text == "resolution":
+            if not isinstance(value, int):
+                raise self.fail("resolution must be an integer literal", key)
+            self.settings_kw["resolution"] = value
+            return
+        if key.text not in _SETTINGS:
+            raise self.fail(f"unknown setting {key.text!r}", key,
+                            expected=", ".join(map(repr, _SETTINGS)) + " or 'resolution'")
+        field_name, names = _SETTINGS[key.text]
+        choice = names.get(value) if isinstance(value, str) else None
+        if choice is None:
+            raise self.fail(f"unknown value {value!r} for setting {key.text!r}", key,
+                            expected=" | ".join(names))
+        self.settings_kw[field_name] = choice
 
-    def parse_rule(self) -> RuleStmt:
+    def parse_rule(self) -> None:
         start = self.peek()
+        self.refs = refs = []
         antecedent = self.parse_prop()
         self.expect("ARROW", "'-->'")
-        consequents = [self.parse_consequent()]
+        consequents = [self.parse_relation(False)]
         while self.peek().kind == "COMMA":
             self.next()
-            consequents.append(self.parse_consequent())
-        weight = None
+            consequents.append(self.parse_relation(False))
+        weight = 1.0
         if self.peek().kind == "STAR":
             self.next()
             weight = self.signed_number().value
         self.end_statement()
-        return RuleStmt(antecedent, tuple(consequents), weight,
-                        start.line, start.column)
+        self.rules.append((start, antecedent, tuple(consequents), weight, refs))
 
-    def parse_consequent(self) -> tuple[Token, str]:
+    def parse_relation(self, in_antecedent: bool) -> Relation:
         name = self.var_name()
         self.expect("EQEQ", "'=='")
-        term = self.expect("IDENT", "a term name")
-        return (name, term.text)
+        term = self.expect("IDENT", "a term name").text
+        self.refs.append((name, term, in_antecedent))
+        return Relation(name.text, term)
 
     def parse_prop(self) -> Proposition:
         node = self.parse_andprop()
@@ -557,204 +629,7 @@ class _Parser(TokenCursor):
             self.expect("RPAREN", "')'")
             self.leave()
             return node
-        name = self.var_name()
-        self.expect("EQEQ", "'=='")
-        term = self.expect("IDENT", "a term name")
-        return PRel(name, term.text)
-
-
-# ---------------------------------------------------------------------------
-# Semantic analysis: statements -> FuzzySystem
-
-class _Builder:
-    def __init__(self, ast: SystemAst, origin: str):
-        self.ast = ast
-        self.origin = origin
-        self.settings_kw: dict = {}
-        self.vars: dict[str, Variable] = {}
-
-    def fail(self, message: str, node, expected: str | None = None) -> ParseError:
-        line = getattr(node, "line", 0)
-        column = getattr(node, "column", 0)
-        return ParseError(message, line, column, expected=expected, origin=self.origin)
-
-    def build(self) -> FuzzySystem:
-        ast = self.ast
-        declared = set(ast.inputs) | set(ast.outputs)
-        if len(declared) != len(ast.inputs) + len(ast.outputs):
-            raise ParseError(f"duplicate variable in header of {ast.name!r}",
-                             ast.line, ast.column, origin=self.origin)
-        for st in ast.body:
-            if isinstance(st, VarDefStmt):
-                self.add_variable(st, declared)
-            elif isinstance(st, SettingStmt):
-                self.add_setting(st)
-            elif not isinstance(st, RuleStmt):
-                raise self.fail(f"unexpected statement {st!r}", st)
-        for name in (*ast.inputs, *ast.outputs):
-            if name not in self.vars:
-                raise ParseError(f"variable {name} has no definition",
-                                 ast.line, ast.column, origin=self.origin)
-        rules = [self.build_rule(st) for st in ast.body
-                 if isinstance(st, RuleStmt)]
-        try:
-            settings = EngineSettings(**self.settings_kw)
-            return FuzzySystem(
-                name=ast.name,
-                kind=ast.kind,
-                inputs={n: self.vars[n] for n in ast.inputs},
-                outputs={n: self.vars[n] for n in ast.outputs},
-                rules=tuple(rules),
-                settings=settings)
-        except ModelError as exc:
-            raise ParseError(str(exc), ast.line, ast.column, origin=self.origin)
-
-    def add_variable(self, st: VarDefStmt, declared: set) -> None:
-        name = st.name.text
-        if name not in declared:
-            raise self.fail(f"variable {name!r} is not declared in the header", st)
-        if name in self.vars:
-            raise self.fail(f"duplicate variable definition {name!r}", st)
-        if st.domain is None:
-            raise self.fail(f"variable {name!r} has no domain", st)
-        lo, hi = st.domain
-        if not lo < hi:
-            raise self.fail(f"domain of {name!r} must satisfy lo < hi, "
-                            f"got {lo:g}:{hi:g}", st)
-        if not st.terms:
-            raise self.fail(f"variable {name!r} declares no terms", st)
-        is_output = name in self.ast.outputs
-        terms: dict = {}
-        for term in st.terms:
-            if term.name in terms:
-                raise self.fail(f"duplicate term {term.name!r} in variable {name!r}", term)
-            terms[term.name] = self.build_term(term, is_output)
-        try:
-            self.vars[name] = Variable(name, Domain(lo, hi), terms)
-        except ModelError as exc:
-            raise self.fail(str(exc), st)
-
-    def build_term(self, term: TermDef, is_output: bool):
-        rhs = term.rhs
-        if isinstance(rhs, SugenoExpr):
-            if self.ast.kind is not SystemKind.SUGENO or not is_output:
-                raise self.fail("numeric consequents are only valid in sugfis "
-                                "output blocks", term)
-            if rhs.coeffs:
-                return SugenoLinear(rhs.coeffs, rhs.offset)
-            return SugenoConstant(rhs.offset)
-        value = self.build_mf(rhs)
-        if self.ast.kind is SystemKind.SUGENO and is_output:
-            raise self.fail("sugfis output terms must be constants or linear "
-                            "expressions", term)
-        if self.ast.kind is SystemKind.MAMDANI_IT2 and not isinstance(value, IntervalMF):
-            raise self.fail("it2mamfis terms must be IntervalMF pairs", term)
-        if self.ast.kind is not SystemKind.MAMDANI_IT2 and isinstance(value, IntervalMF):
-            raise self.fail("IntervalMF terms require an it2mamfis system", term)
-        return value
-
-    def build_mf(self, call) -> MembershipFunction | IntervalMF:
-        if not isinstance(call, MFCall):
-            raise self.fail("expected a membership constructor", call)
-        if call.ctor == "IntervalMF":
-            if len(call.args) != 2 or not all(isinstance(a, MFCall) for a in call.args):
-                raise self.fail("IntervalMF takes two membership constructors", call)
-            lower = self.build_mf(call.args[0])
-            upper = self.build_mf(call.args[1])
-            if isinstance(lower, IntervalMF) or isinstance(upper, IntervalMF):
-                raise self.fail("IntervalMF cannot nest", call)
-            try:
-                return IntervalMF(lower, upper)
-            except ModelError as exc:
-                raise self.fail(str(exc), call)
-        ctor = MF_CONSTRUCTORS.get(call.ctor)
-        if ctor is None:
-            raise self.fail(f"unknown membership constructor {call.ctor!r}", call,
-                            expected=" | ".join([*MF_CONSTRUCTORS, "IntervalMF"]))
-        try:
-            if ctor is PiecewiseLinear:
-                for a in call.args:
-                    if not isinstance(a, tuple):
-                        raise self.fail("PiecewiseLinearMF takes (x, y) pairs", call)
-                return PiecewiseLinear(tuple(call.args))
-            for a in call.args:
-                if not isinstance(a, float):
-                    raise self.fail(f"{call.ctor} takes numeric parameters", call)
-            return ctor(*call.args)
-        except TypeError:
-            raise self.fail(f"wrong number of parameters for {call.ctor}", call)
-        except ModelError as exc:
-            raise self.fail(str(exc), call)
-
-    def add_setting(self, st: SettingStmt) -> None:
-        key = st.key
-        if key == "resolution":
-            if not isinstance(st.value, int):
-                raise self.fail("resolution must be an integer literal", st)
-            self.settings_kw["resolution"] = st.value
-            return
-        if key not in _SETTINGS:
-            raise self.fail(f"unknown setting {key!r}", st,
-                            expected=", ".join(map(repr, _SETTINGS)) + " or 'resolution'")
-        field_name, names = _SETTINGS[key]
-        value = names.get(st.value) if isinstance(st.value, str) else None
-        if value is None:
-            raise self.fail(f"unknown value {st.value!r} for setting {key!r}", st,
-                            expected=" | ".join(names))
-        self.settings_kw[field_name] = value
-
-    def build_rule(self, st: RuleStmt) -> Rule:
-        antecedent = self.resolve_prop(st.antecedent)
-        consequents = []
-        for name, term in st.consequents:
-            var_name = name.text
-            if var_name not in self.ast.outputs:
-                raise ParseError(f"rule consequent {var_name!r} is not an output "
-                                 f"variable", name.line, name.column, origin=self.origin)
-            var = self.vars[var_name]
-            if term not in var.terms:
-                raise ParseError(f"variable {var_name!r} has no term {term!r}",
-                                 name.line, name.column, origin=self.origin)
-            consequents.append(Relation(var_name, term))
-        weight = 1.0 if st.weight is None else st.weight
-        if not 0.0 <= weight <= 1.0:
-            raise self.fail(f"rule weight must lie in [0, 1], got {weight:g}", st)
-        return Rule(antecedent, tuple(consequents), weight)
-
-    def resolve_prop(self, p: Proposition) -> Proposition:
-        if isinstance(p, PRel):
-            var_name = p.var.text
-            if var_name not in self.ast.inputs:
-                kind = "an output" if var_name in self.ast.outputs else "an unknown"
-                raise ParseError(f"rule antecedent references {var_name!r}, "
-                                 f"{kind} variable", p.var.line, p.var.column,
-                                 origin=self.origin)
-            var = self.vars[var_name]
-            if p.term not in var.terms:
-                raise ParseError(f"variable {var_name!r} has no term {p.term!r}",
-                                 p.var.line, p.var.column, origin=self.origin)
-            return Relation(var_name, p.term)
-        if isinstance(p, And):
-            return And(self.resolve_prop(p.left), self.resolve_prop(p.right))
-        if isinstance(p, Or):
-            return Or(self.resolve_prop(p.left), self.resolve_prop(p.right))
-        if isinstance(p, Not):
-            return Not(self.resolve_prop(p.operand))
-        raise ParseError(f"unsupported proposition {p!r}", origin=self.origin)
-
-
-def parse_ast(text: str, origin: str = "<inline>") -> SystemAst:
-    """Parse source into the statement AST, loops expanded."""
-    if not isinstance(text, str):
-        raise ParseError("source must be text", origin=origin)
-    parser = _Parser(_LEXER.tokens(text, origin), origin)
-    kind, name, inputs, outputs, head = parser.parse_header()
-    body = parser.parse_body()
-    parser.expect_word("end")
-    parser.skip_newlines()
-    parser.expect("EOF", "end of input")
-    return SystemAst(kind, name, inputs, outputs, tuple(body),
-                     head.line, head.column)
+        return self.parse_relation(True)
 
 
 def parse_system(text: str, origin: str = "<inline>") -> FuzzySystem:
@@ -763,7 +638,9 @@ def parse_system(text: str, origin: str = "<inline>") -> FuzzySystem:
     Raises :class:`ParseError` (with line/column) for any malformed input;
     never raises anything else, however garbled the source.
     """
-    return _Builder(parse_ast(text, origin), origin).build()
+    if not isinstance(text, str):
+        raise ParseError("source must be text", origin=origin)
+    return _Parser(_LEXER.tokens(text, origin), origin).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -240,12 +240,16 @@ class _FclParser(TokenCursor):
         while self.peek().kind == "COMMA":
             self.next()
             consequents.append(self.parse_conclusion())
-        weight = 1.0
+        weight, weight_tok = 1.0, None
         if self.keyword() == "WITH":
             self.next()
+            weight_tok = self.peek()
             weight = self.number()
         self.expect("SEMI", "';'")
-        self.rules.append(Rule(antecedent, tuple(consequents), weight))
+        try:
+            self.rules.append(Rule(antecedent, tuple(consequents), weight))
+        except ModelError as exc:  # a weight outside [0, 1]
+            raise self.fail(str(exc), weight_tok)
 
     def parse_or(self):
         node = self.parse_and()
@@ -356,21 +360,19 @@ class _FclParser(TokenCursor):
         terms: dict[str, object] = {}
         xs: list[float] = []
         for term_name, (shape, payload, tok) in raw.items():
-            if output and sugeno:
-                if shape != "singleton":
-                    raise self.fail(f"term {term_name!r} must be a single value "
-                                    f"under METHOD COGS", tok)
-                terms[term_name] = SugenoConstant(payload)
-                xs.append(payload)
-            elif shape == "singleton":
-                terms[term_name] = Singleton(payload)
-                xs.append(payload)
-            else:
-                try:
+            if output and sugeno and shape != "singleton":
+                raise self.fail(f"term {term_name!r} must be a single value "
+                                f"under METHOD COGS", tok)
+            try:
+                if shape == "singleton":
+                    terms[term_name] = (SugenoConstant if output and sugeno
+                                        else Singleton)(payload)
+                    xs.append(payload)
+                else:
                     terms[term_name] = PiecewiseLinear(payload)
-                except ModelError as exc:
-                    raise self.fail(str(exc), tok)
-                xs.extend(p[0] for p in payload)
+                    xs.extend(p[0] for p in payload)
+            except ModelError as exc:
+                raise self.fail(str(exc), tok)
         domain = self.domains.get(name)
         if domain is None:
             lo, hi = min(xs), max(xs)

@@ -204,7 +204,7 @@ class _FisBuilder:
         line, value = meta[key]
         try:
             declared = int(float(_unquote(value)))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise self.fail(f"malformed {key}: {value!r}", line)
         if declared != actual:
             self.diagnostics.warn(f"line {line}",
@@ -236,8 +236,11 @@ class _FisBuilder:
         mf_entries.sort()
         terms: dict[str, object] = {}
         for _, line, value in mf_entries:
-            term_name, term_value = self.membership(value, line, kind, output,
-                                                    input_names)
+            try:
+                term_name, term_value = self.membership(value, line, kind, output,
+                                                        input_names)
+            except ModelError as exc:
+                raise self.fail(str(exc), line)
             if term_name in terms:
                 raise self.fail(f"duplicate term {term_name!r} in {tag}", line)
             terms[term_name] = term_value
@@ -285,12 +288,9 @@ class _FisBuilder:
         if len(params) != arity:
             raise self.fail(f"{mf_type!r} takes {arity} parameters, got "
                             f"{len(params)}", line)
-        try:
-            if ctor is Gaussian:  # .fis order is [sigma, mu]
-                return term_name, Gaussian(params[1], params[0])
-            return term_name, ctor(*params)
-        except ModelError as exc:
-            raise ParseError(str(exc), line, origin=self.origin)
+        if ctor is Gaussian:  # .fis order is [sigma, mu]
+            return term_name, Gaussian(params[1], params[0])
+        return term_name, ctor(*params)
 
     def rules(self, sec: _Section | None, input_vars, output_vars) -> list[Rule]:
         if sec is None:

@@ -9,8 +9,8 @@ from fuzzkit import (Defuzzifier, Gaussian, Or, ParseError, Relation, SNorm,
                      SugenoConstant, SugenoLinear, SystemKind, TNorm,
                      Trapezoidal, Triangular, corpus)
 from fuzzkit.dsl import (format_proposition, format_rule, format_system,
-                         parse_ast, parse_system)
-from fuzzkit.interop.common import Token
+                         parse_system)
+from fuzzkit.interop.common import MAX_NESTING, Token
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +63,6 @@ def test_denoise_parses_with_loops_expanded():
     assert len(fis.rules) == 26
     assert fis.inputs["x3"].terms["POS"] == Triangular(-255.0, 255.0, 765.0)
     assert fis.inputs["x3"].terms["NEG"] == Triangular(-765.0, -255.0, 255.0)
-    # the parser expands loops as it reads them: 8 + 1 variables, 26 rules
-    assert len(parse_ast(corpus.load_text("denoise.fzl")).body) == 35
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +393,45 @@ def test_loops_whose_body_yields_nothing_are_read_once():
         parse_system(f"{_LOOP_DEFS}for i in 1:1000000000000\n    {rule}end\nend\n")
     assert (err.value.message, err.value.line) == (
         "loop expansion produces too many statements", _LOOP_BODY_LINE)
+
+
+@pytest.mark.parametrize("depth", [600, 10_000])
+def test_deep_loop_nesting_is_bounded(depth):
+    # Loop nesting counts against the limit that bounds expressions, so a
+    # deep nest raises at the loop past the limit instead of overflowing.
+    text = _wrap("for i in 1:1\n" * depth + "x == t --> y == u\n" + "end\n" * depth)
+    first = text.splitlines().index("for i in 1:1") + 1
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (err.value.message, err.value.line, err.value.column) == (
+        "loop or expression nested too deeply", first + MAX_NESTING, 1)
+
+
+def test_loops_nested_below_the_limit_parse():
+    text = _wrap("for i in 1:1\n" * 150 + "x == t --> y == u\n" + "end\n" * 150)
+    assert len(parse_system(text).rules) == 1
+
+
+def test_big_indices_keep_every_digit():
+    n = 2**53 + 1  # the nearest float is 2**53
+    text = _wrap(f"x[{n}] == t --> y == u",
+                 header=f"fis = @mamfis function f(x[{n}:{n}])::y")
+    fis = parse_system(text.replace("x := begin", f"x[{n}] := begin"))
+    assert list(fis.inputs) == ["x9007199254740993"]
+    assert fis.rules[0].antecedent == Relation("x9007199254740993", "t")
+
+
+@pytest.mark.parametrize("statement", [
+    "x[{}] == t --> y == u",
+    "x == t --> y == u\nresolution = {}",
+    "for i in 1:{}\n    x == t --> y == u\nend",
+], ids=["index", "resolution", "loop-bound"])
+def test_long_integer_literals_keep_the_error_contract(statement):
+    # A 400-digit literal overflows a float, and 5,000 digits pass the limit
+    # of int(); either may parse or raise ParseError, but nothing else.
+    try:
+        parse_system(_wrap(statement.format("1" + "0" * 400)))
+    except ParseError:
+        pass
+    with pytest.raises(ParseError, match="integer literal too long"):
+        parse_system(_wrap(statement.format("1" * 5000)))
