@@ -114,11 +114,17 @@ def wrap(w: Writer, head: str, text: str) -> None:
 
 def exec_emitted(w: Writer, filename: str, name: str):
     """Compile the function ``name`` that ``w`` holds, with the names emitted
-    code uses and the constants ``w`` bound."""
+    code uses and the constants ``w`` bound.
+
+    The function is popped from its namespace, not left bound in its own
+    ``__globals__``: emitted code never calls itself by name, and the binding
+    would be a reference cycle, so the function, its constants and their
+    owner would wait for the cycle collector instead of being freed by
+    reference counting when the owner is dropped."""
     ns = {"exp": math.exp, "log": math.log, "abs": abs, "_float": float, "zip": zip,
           "enumerate": enumerate, "__builtins__": {}, **(w.consts or {})}
     exec(compile(w.text(), filename, "exec"), ns)
-    return ns[name]
+    return ns.pop(name)
 
 
 def sanitize(name: str, taken: set[str], fallback: str = "v") -> str:

@@ -74,10 +74,15 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
 
 
 def load(source: str):
-    """Execute generated source and return the function it defines."""
+    """Execute generated source and return the function it defines.
+
+    The function is popped from its namespace, not left bound in its own
+    ``__globals__``: generated code never refers to its own name, and the
+    binding would be a reference cycle that keeps a dropped function alive
+    until the cycle collector runs."""
     ns: dict = {}
     exec(compile(source, "<generated>", "exec"), ns)
-    fns = [v for v in ns.values() if isinstance(v, types.FunctionType)]
-    if len(fns) != 1:
-        raise CodegenError(f"expected exactly one function, found {len(fns)}")
-    return fns[0]
+    names = [k for k, v in ns.items() if isinstance(v, types.FunctionType)]
+    if len(names) != 1:
+        raise CodegenError(f"expected exactly one function, found {len(names)}")
+    return ns.pop(names[0])

@@ -19,7 +19,9 @@ All entry points are pure: they never mutate the system or the inputs, so a
 validated system can serve concurrent callers.  The lowering cache, its
 compiled functions, lazily computed curves and the ``km_reduce`` grid memo
 are benign-race memos (a redundant fill computes identical values); a
-pickled system leaves its lowering out.
+pickled system leaves its lowering out.  Compiled functions hold no
+reference back to themselves or their system, so they are freed with it by
+reference counting, without waiting for the cycle collector.
 """
 
 from __future__ import annotations
@@ -302,8 +304,13 @@ def _fire(fis: FuzzySystem, inputs, interval: bool = False) -> tuple:
         return fire(inputs)
     except KeyError as exc:
         error = exc
-    _input_values(fis, inputs)
-    raise error
+    try:
+        _input_values(fis, inputs)
+        raise error
+    finally:
+        # The raised error's traceback holds this frame: keeping the error in
+        # a local would tie them, the system and the inputs into a cycle.
+        del error
 
 
 def fire_rules(fis: FuzzySystem, inputs) -> FiringVector:

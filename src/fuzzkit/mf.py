@@ -135,6 +135,9 @@ class Gaussian(MembershipFunction):
         object.__setattr__(self, "sigma", _as_float(self.sigma))
         if not self.sigma > 0:
             raise ModelError(f"gaussian sigma must be positive, got {self.sigma}")
+        if 2.0 * self.sigma * self.sigma == 0.0:  # the formula's denominator
+            raise ModelError(f"gaussian sigma is too small, got {self.sigma}: "
+                             f"2 sigma^2 underflows to 0")
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         d = np.asarray(xs, dtype=float) - self.mu

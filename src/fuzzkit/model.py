@@ -19,6 +19,9 @@ from .norms import Defuzzifier, Implication, SNorm, TNorm
 # Grid density used to check interval pairs for lower <= upper.
 _INTERVAL_CHECK_SAMPLES = 1001
 
+# Largest output grid: 1,000 times the default; a 10-term output samples 8 MB.
+MAX_RESOLUTION = 100_000
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -209,8 +212,9 @@ class EngineSettings:
         if not isinstance(self.defuzzifier, Defuzzifier):
             raise ModelError(f"defuzzifier must be a Defuzzifier, got {self.defuzzifier!r}")
         if not isinstance(self.resolution, int) or isinstance(self.resolution, bool) \
-                or self.resolution < 2:
-            raise ModelError(f"resolution must be an integer >= 2, got {self.resolution!r}")
+                or not 2 <= self.resolution <= MAX_RESOLUTION:
+            raise ModelError(f"resolution must be an integer in [2, {MAX_RESOLUTION}], "
+                             f"got {self.resolution!r}")
 
 
 def _relations(p: Proposition):

@@ -9,7 +9,6 @@ grid.  Same model in, byte-identical text out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -125,6 +124,14 @@ def _bounds(chart: Chart) -> tuple[float, float, float, float]:
     return x0, x1, y0, y1
 
 
+def _escape(text: str) -> str:
+    """``text`` safe as SVG element text: ``&``, ``<`` and ``>`` as entities,
+    what ``xml.sax.saxutils.escape`` does by default.  Importing that would
+    load the HTTP, TLS and e-mail modules: most of the memory that ``import
+    fuzzkit`` adds to numpy's."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _chart_group(chart: Chart, width: int, height: int) -> list[str]:
     """SVG body lines (no <svg> envelope) drawing the chart at (0, 0)."""
     ml, mr, mt, mb = 46.0, 10.0, 26.0, 22.0
@@ -141,7 +148,7 @@ def _chart_group(chart: Chart, width: int, height: int) -> list[str]:
            f'fill="white" stroke="#cccccc"/>',
            f'<text x="{width / 2:.2f}" y="17" text-anchor="middle" '
            f'font-family="sans-serif" font-size="13" font-weight="bold">'
-           f'{escape(chart.title)}</text>',
+           f'{_escape(chart.title)}</text>',
            f'<line x1="{ml:.2f}" y1="{mt:.2f}" x2="{ml:.2f}" '
            f'y2="{mt + ph:.2f}" stroke="black"/>',
            f'<line x1="{ml:.2f}" y1="{mt + ph:.2f}" x2="{ml + pw:.2f}" '
@@ -161,7 +168,7 @@ def _chart_group(chart: Chart, width: int, height: int) -> list[str]:
                    f'points="{pts}"/>')
         out.append(f'<text x="{ml + pw - 4:.2f}" y="{mt + 12 + 12 * i:.2f}" '
                    f'text-anchor="end" font-family="sans-serif" font-size="10" '
-                   f'fill="{color}">{escape(s.label)}</text>')
+                   f'fill="{color}">{_escape(s.label)}</text>')
     return out
 
 
@@ -198,10 +205,10 @@ def render_system_svg(figure: SystemFigure, cell_width: int = 480,
                 f'fill="white" stroke="#cccccc"/>')
     body.append(f'<text x="{cell_width / 2:.2f}" y="17" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="13" font-weight="bold">'
-                f'{escape(figure.title)}: rules</text>')
+                f'{_escape(figure.title)}: rules</text>')
     for j, line in enumerate(figure.rules):
         body.append(f'<text x="10" y="{40 + 16 * j}" font-family="monospace" '
-                    f'font-size="11">{escape(line)}</text>')
+                    f'font-size="11">{_escape(line)}</text>')
     body.append("</g>")
     return _svg_document(width, height, body)
 

@@ -435,3 +435,31 @@ def test_long_integer_literals_keep_the_error_contract(statement):
         pass
     with pytest.raises(ParseError, match="integer literal too long"):
         parse_system(_wrap(statement.format("1" * 5000)))
+
+
+@pytest.mark.parametrize("term", [
+    "GaussianMF(0.0, 1e-320)",
+    "IntervalMF(GaussianMF(0.0, 1e-320), GaussianMF(0.0, 1.0))",
+    "IntervalMF(GaussianMF(0.0, 0.5), GaussianMF(0.0, 1e-162))",
+])
+def test_gaussian_sigma_whose_square_underflows_is_a_parse_error(term):
+    kind = "@it2mamfis" if term.startswith("Interval") else "@mamfis"
+    text = _wrap("x == t --> y == u", header=f"fis = {kind} function f(x)::y")
+    if kind == "@it2mamfis":
+        text = (text.replace("TriangularMF(0.0, 5.0, 10.0)",
+                             "IntervalMF(TriangularMF(0.0, 5.0, 10.0), "
+                             "TriangularMF(0.0, 5.0, 10.0))")
+                    .replace("TriangularMF(2.0, 5.0, 8.0)",
+                             "IntervalMF(TriangularMF(2.0, 5.0, 8.0), "
+                             "TriangularMF(2.0, 5.0, 8.0))"))
+    text = text.replace("        s = ", f"        g = {term}\n        s = ", 1)
+    with pytest.raises(ParseError, match="gaussian sigma is too small") as info:
+        parse_system(text)
+    assert info.value.line == 6  # the term
+
+
+def test_resolution_above_the_bound_is_a_parse_error():
+    assert parse_system(_wrap("x == t --> y == u\nresolution = 100000")) \
+        .settings.resolution == 100_000
+    with pytest.raises(ParseError, match=r"resolution must be an integer in \[2, 100000\]"):
+        parse_system(_wrap("x == t --> y == u\nresolution = 1000000000"))

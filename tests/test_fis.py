@@ -209,6 +209,13 @@ def test_unknown_mf_type():
         parse_fis(_doc(out_mfs="MF1='z':'sincmf',[1 2 3]"))
 
 
+@pytest.mark.parametrize("params", ["[1e-320 0]", "[1e-162 5]"])
+def test_gaussian_sigma_whose_square_underflows_is_a_parse_error(params):
+    with pytest.raises(ParseError, match="gaussian sigma is too small") as info:
+        parse_fis(_doc(out_mfs=f"MF1='z':'gaussmf',{params}"))
+    assert info.value.line == 22  # the term's line
+
+
 def test_wrong_arity():
     with pytest.raises(ParseError, match="takes 3 parameters"):
         parse_fis(_doc(out_mfs="MF1='z':'trimf',[1 2]"))

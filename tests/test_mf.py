@@ -218,3 +218,15 @@ def test_calls_match_the_independent_oracle_bit_for_bit():
             assert _same(mf(x), helpers.t1_degree(mf, x)), (mf, x)
             checked += 1
     assert checked > 15_000
+
+
+@pytest.mark.parametrize("sigma", [1e-320, 1e-162, 5e-324])
+def test_gaussian_sigma_whose_square_underflows_is_rejected(sigma):
+    # 2 sigma^2 would round to 0.0, and the formula would divide by it.
+    with pytest.raises(ModelError, match="gaussian sigma is too small"):
+        Gaussian(0.5, sigma)
+
+
+def test_smallest_accepted_gaussian_sigma_evaluates():
+    mf = Gaussian(0.5, 1e-161)
+    assert mf(0.5) == 1.0 and mf(0.6) == 0.0

@@ -79,6 +79,15 @@ def test_engine_settings_validation():
     assert EngineSettings(conjunction=TNorm.PROD).conjunction is TNorm.PROD
 
 
+def test_engine_settings_bound_the_resolution():
+    # 1,000 times the default is the most; 10**9 would sample gigabytes.
+    assert EngineSettings(resolution=100_000).resolution == 100_000
+    with pytest.raises(ModelError, match=r"resolution must be an integer in \[2, 100000\]"):
+        EngineSettings(resolution=100_001)
+    with pytest.raises(ModelError):
+        EngineSettings(resolution=10**9)
+
+
 def test_system_requires_inputs_outputs_rules():
     with pytest.raises(ModelError, match="no input"):
         _mamdani(inputs={})

@@ -7,8 +7,8 @@ import pytest
 
 from fuzzkit import Domain, IntervalMF, Triangular, Variable, corpus
 from fuzzkit.engine import infer
-from fuzzkit.viz import (plot_firing, plot_output, plot_system, plot_variable,
-                         render_ascii, render_svg, render_system_svg)
+from fuzzkit.viz import (_escape, plot_firing, plot_output, plot_system,
+                         plot_variable, render_ascii, render_svg, render_system_svg)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -135,3 +135,12 @@ def test_golden_system_svg(tipper):
     # Byte-exact rendering pin; regenerate deliberately if the layout changes.
     want = (DATA / "tipper.svg").read_text()
     assert render_system_svg(plot_system(tipper)) == want
+
+
+@pytest.mark.parametrize("text", [
+    "", "plain", "a & b", "<tag attr=\"v\">", "x > 3 && y < 4", "it's \"quoted\"",
+    "&amp; already", "café ≤ 5 → 𝔽", "<&>" * 3,
+])
+def test_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape  # the oracle; fuzzkit does not import it
+    assert _escape(text) == escape(text)
