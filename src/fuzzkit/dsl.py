@@ -565,6 +565,10 @@ class _Parser(TokenCursor):
         if key.text == "resolution":
             if not isinstance(value, int):
                 raise self.fail("resolution must be an integer literal", key)
+            try:  # the model's bound, reported here
+                EngineSettings(resolution=value)
+            except ModelError as exc:
+                raise self.fail(str(exc), key)
             self.settings_kw["resolution"] = value
             return
         if key.text not in _SETTINGS:

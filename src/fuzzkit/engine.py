@@ -13,7 +13,9 @@ backend is numpy over the term matrix (``_aggregate``, ``_defuzzify``): it
 serves aggregated curves, computed only when a result's ``aggregated`` is
 read, interval type-2 inference and public ``defuzzify``.  Grid sums run
 left to right (``np.add.accumulate``), the order of the emitted left folds,
-so the backends agree bit for bit on finite inputs.
+so the backends agree bit for bit on finite inputs.  Interval type-2
+``infer`` is a short, fixed list of array calls per output, and its result
+builds its ``CurveBand``s only when ``aggregated`` is read.
 
 All entry points are pure: they never mutate the system or the inputs, so a
 validated system can serve concurrent callers.  The lowering cache, its
@@ -93,7 +95,8 @@ class InferenceResult:
     output's ``SampledCurve``, computed on first access from the stored
     firing and pickled as a plain dict.  Interval type-2 runs fill
     ``firing_intervals``, ``intervals`` (the type-reduced [y_left, y_right]
-    per output) and a dict of band curves in ``aggregated``.
+    per output) and ``aggregated``, the same kind of mapping of each
+    output's ``CurveBand``, built on first access from the run's bands.
     """
 
     crisp: dict
@@ -110,21 +113,28 @@ class InferenceResult:
 
 
 class _LazyCurves(Mapping):
-    """``InferenceResult.aggregated`` of a type-1 Mamdani run: ``_aggregate``
-    runs over the stored activations on first access.  Compares, prints and
-    pickles as the dict it stands for."""
+    """``InferenceResult.aggregated`` of a Mamdani run, built on first access:
+    ``SampledCurve``s of ``_aggregate`` over the stored activations (type-1),
+    or ``CurveBand``s of the stored ``(2, outputs, resolution)`` aggregate
+    (IT2).  Compares, prints and pickles as the dict it stands for."""
 
-    __slots__ = ("_fis", "_acts", "_curves")
+    __slots__ = ("_fis", "_data", "_curves")
 
-    def __init__(self, fis: FuzzySystem, acts: tuple):
-        self._fis, self._acts, self._curves = fis, acts, None
+    def __init__(self, fis: FuzzySystem, data):
+        self._fis, self._data, self._curves = fis, data, None
 
     def _dict(self) -> dict:
         curves = self._curves
         if curves is None:
-            agg = _aggregate(self._fis, (self._acts,))[0]
-            curves = self._curves = dict(zip(self._fis.outputs,
-                                             map(SampledCurve, _lower(self._fis).grids, agg)))
+            fis, agg = self._fis, self._data
+            if fis.kind is SystemKind.MAMDANI:
+                agg = _aggregate(fis, agg)
+            agg.setflags(write=False)
+            curves = {}
+            for name, xs, *band in zip(fis.outputs, _lower(fis).grids, *agg):
+                curve = SampledCurve(xs, band[0])
+                curves[name] = CurveBand(curve, SampledCurve(xs, band[1])) if band[1:] else curve
+            self._curves = curves
         return curves
 
     def __getitem__(self, name):
@@ -157,7 +167,8 @@ def eval_proposition(p: Proposition, fis: FuzzySystem, inputs) -> float:
 
     Uses the system's conjunction/disjunction operators; negation is strong
     (1 - x).  The expression is compiled through the emitter of the rule
-    firing, so it rounds exactly as a rule antecedent does.  Pure: identical
+    firing, so it rounds exactly as a rule antecedent does, once per system
+    and proposition (the system's lowering keeps it).  Pure: identical
     arguments give bitwise-identical results.
     """
     values = _input_values(fis, inputs)
@@ -174,10 +185,14 @@ def eval_proposition(p: Proposition, fis: FuzzySystem, inputs) -> float:
             raise EvaluationError(f"proposition references unknown input {name!r}")
         if term not in var.terms:
             raise EvaluationError(f"variable {name!r} has no term {term!r}")
-    w, args = _emit_head(fis)
-    names = _emit.emit_degrees(w, fis, relations, args)
-    w.emit(f"return {_emit.emit_prop(w, p, fis.settings, names)}")
-    return _emit.exec_emitted(w, "<proposition>", "_fire")(values)
+    memo = _lower(fis).propositions  # every valid proposition is hashable
+    compiled = memo.get(p)
+    if compiled is None:
+        w, args = _emit_head(fis)
+        names = _emit.emit_degrees(w, fis, relations, args)
+        w.emit(f"return {_emit.emit_prop(w, p, fis.settings, names)}")
+        compiled = memo[p] = _emit.exec_emitted(w, "<proposition>", "_fire")
+    return compiled(values)
 
 
 @dataclass(eq=False)
@@ -191,11 +206,13 @@ class _Lowering:
     one ``(bands, outputs, width, resolution)`` term-curve matrix ``curves``,
     ``width`` being the largest term count of an output, both read-only: one
     band for type-1, lower and upper for IT2, zero rows padding outputs with
-    fewer terms; an IT2 system also has ``km_grids``, each grid's
-    type-reduction constants (``_km_grid``).  ``runs`` memoizes
+    fewer terms.  An IT2 system also has ``km_grids``: per output, its grid's
+    ``_km_grid`` and the index gathering its ``_km_operand`` from the
+    aggregate.  ``runs`` memoizes
     ``_emit.grid_runs``.  ``fire`` (rule activations, ``(lower, upper)``
     pairs for IT2, from a dict of inputs) and ``outputs`` compile on first
-    use, so code generation alone never compiles them.
+    use, so code generation alone never compiles them; ``propositions``
+    holds ``eval_proposition``'s compiled functions by proposition.
     """
 
     relations: tuple
@@ -204,6 +221,7 @@ class _Lowering:
     curves: np.ndarray | None = None
     km_grids: tuple | None = None
     runs: dict = field(default_factory=dict)
+    propositions: dict = field(default_factory=dict)
     fire: object = None
     outputs: object = None
 
@@ -285,8 +303,10 @@ def _lower(fis: FuzzySystem) -> _Lowering:
                     curves[b, o, t] = (getattr(mf, bound) if bound else mf).sample(grids[o])
             for a in (grids, curves):
                 a.setflags(write=False)
-            if fis.kind is SystemKind.MAMDANI_IT2:
-                km_grids = tuple(map(_km_grid, grids))
+            if fis.kind is SystemKind.MAMDANI_IT2:  # map: no closure cell on each call
+                index = np.arange(grids.size).reshape(grids.shape)  # of the lower band
+                km_grids = tuple(zip(map(_km_grid, grids),
+                                     map(_km_operand, index, index + grids.size)))
         lowering = cache["lowering"] = _Lowering(relations, by_output, grids, curves, km_grids)
     return lowering
 
@@ -323,11 +343,12 @@ def fire_rules_interval(fis: FuzzySystem, inputs) -> tuple[tuple[float, float], 
     return _fire(fis, inputs, interval=True)
 
 
-def _aggregate(fis: FuzzySystem, bands) -> np.ndarray:
-    """Read-only ``(bands, outputs, resolution)`` aggregated curves: each
+def _aggregate(fis: FuzzySystem, acts) -> np.ndarray:
+    """The ``(bands, outputs, resolution)`` aggregated curves: each
     consequent term curve shaped by its rule's activation, folded per output
-    with the aggregation s-norm.  ``bands`` holds the activations of each
-    band of the term matrix (type-1: one; interval type-2: lower, upper).
+    with the aggregation s-norm.  ``acts`` holds the rule activations as
+    fired: floats shaping the one band of a type-1 term matrix, or ``(lower,
+    upper)`` pairs shaping the lower and upper bands of an interval type-2 one.
 
     Under max-aggregation each term is shaped once, by its strongest
     activation, as max(imp(a1, C), imp(a2, C)) == imp(max(a1, a2), C); the
@@ -339,29 +360,32 @@ def _aggregate(fis: FuzzySystem, bands) -> np.ndarray:
     settings = fis.settings
     lowering = _lower(fis)
     curves = lowering.curves
+    interval = fis.kind is SystemKind.MAMDANI_IT2
     if settings.aggregation is SNorm.MAX:
         width = curves.shape[2]
-        strengths = [[0.0] * (curves.shape[1] * width) for _ in bands]
-        for acts, strength in zip(bands, strengths):
-            for o, pairs in enumerate(lowering.by_output):
-                for i, term in pairs:
-                    slot = o * width + term
-                    if acts[i] > strength[slot]:
-                        strength[slot] = acts[i]
+        size = curves.shape[1] * width
+        strengths = [0.0] * (len(curves) * size)
+        for o, pairs in enumerate(lowering.by_output):
+            for i, term in pairs:
+                slot = o * width + term
+                for act in acts[i] if interval else (acts[i],):  # NaN is never greater
+                    if act > strengths[slot]:
+                        strengths[slot] = act
+                    slot += size
         shaped = implicate(settings.implication,
                            np.array(strengths).reshape(curves.shape[:3] + (1,)), curves)
         agg = np.maximum.reduce(shaped, axis=-2)
     else:
         agg = np.zeros(curves.shape[:2] + curves.shape[3:])
         fold = functools.partial(snorm_arrays, settings.aggregation)
-        for o, (b, acts) in itertools.product(range(curves.shape[1]), enumerate(bands)):
-            fired = [(acts[i], row) for i, row in lowering.by_output[o] if acts[i] != 0.0]
+        bands = tuple(zip(*acts)) if interval else (acts,)
+        for o, (b, band) in itertools.product(range(curves.shape[1]), enumerate(bands)):
+            fired = [(band[i], row) for i, row in lowering.by_output[o] if band[i] != 0.0]
             if fired:
                 fired_acts, rows = zip(*fired)
                 shaped = implicate(settings.implication, np.array(fired_acts)[:, None],
                                    curves[b, o, list(rows)])
                 agg[b, o] = functools.reduce(fold, shaped)
-    agg.setflags(write=False)
     return agg
 
 
@@ -454,9 +478,9 @@ def infer_sugeno(fis: FuzzySystem, inputs) -> InferenceResult:
 
 
 def _km_grid(xs) -> tuple:
-    """Type-reduction constants of a grid, ``(forward, backward, tol)``:
-    read-only ``(2, 2, n)`` factors ``[[xs, -xs], [1, 1]]``, the same in
-    reverse column order, and the tolerance ``2 * e`` of ``_km_bounds``."""
+    """Type-reduction constants of a grid, ``(factors, tol)``: read-only
+    ``(2, 2, 2, n)`` factors, ``[[xs, -xs], [1, 1]]`` and the same in reverse
+    column order, and the tolerance ``2 * e`` of ``_km_bounds``."""
     n = len(xs)
     factors = np.ones((2, 2, 2, n))
     factors[0, 0, 0] = xs
@@ -470,32 +494,42 @@ def _km_grid(xs) -> tuple:
     # differ by less than e.  The exact optimum's approximation thus lies
     # within 2e of the best approximation.
     e = 12.0 * n * 2.0 ** -53 * max(-float(xs[0]), float(xs[-1]))  # max|xs|, xs sorted
-    return factors[0], factors[1], 2.0 * e
+    return factors, 2.0 * e
 
 
-def _km_bounds(km, band) -> tuple[float, float] | None:
-    """``km_reduce`` of a ``(2, n)`` band (lower, upper), n >= 2, on the grid
-    of ``km = _km_grid(xs)``; ``None`` when the band has no mass and
+def _km_operand(lower, upper) -> np.ndarray:
+    """``_km_bounds``' read-only operand of a band, shaped like the factors:
+    [upper, lower] twice, then [lower, upper] twice in reverse column order.
+    Of index arrays, the index that gathers it with ``take``."""
+    operand = np.array([(pair, pair) for pair in ((upper, lower), (lower[::-1], upper[::-1]))])
+    operand.setflags(write=False)
+    return operand
+
+
+def _km_bounds(km, operand) -> tuple[float, float] | None:
+    """``km_reduce`` of a band, n >= 2, given as its ``_km_operand``, on the
+    grid of ``km = _km_grid(xs)``; ``None`` when the band has no mass and
     ``upper`` is identically zero.  A band holding NaN passes through (see
     ``infer_it2_mamdani``) and raises ``EvaluationError`` when no switch
     point of one bound has a finite centroid."""
-    forward, backward, tol = km
-    n = band.shape[1]
+    factors, tol = km
+    n = operand.shape[-1]
     # Switch point k = -1..n-1 is column i = k + 1: the left bound's curve
     # takes the upper membership at points [0, i) and the lower one at
-    # [i, n); the right bound's the reverse.  After a leading zero column,
-    # ``m[0]`` holds [[xs*upper, -xs*lower], [upper, lower]] and ``m[1]`` the
-    # partner rows [[xs*lower, -xs*upper], [lower, upper]] in reverse column
-    # order.  One accumulate gives prefix sums of the first and, read
+    # [i, n); the right bound's the reverse.  The product ``m`` of the
+    # factors and the operand holds [[xs*upper, -xs*lower], [upper, lower]]
+    # in ``m[0]`` and the partner rows [[xs*lower, -xs*upper], [lower,
+    # upper]] in reverse column order in ``m[1]``.  One accumulate, after a
+    # leading zero column, gives prefix sums of the first and, read
     # backwards, suffix sums of the second, so their sum holds the left
     # numerator, the negated right numerator (both ends then minimize; a
     # negated sum is exact) and the two denominators.  Suffixes are never
     # ``total - prefix``: that would cancel and turn a zero denominator into
-    # a rounding residue.
-    m = np.zeros((2, 2, 2, n + 1))
-    np.multiply(forward, band[::-1], out=m[0, ..., 1:])
-    np.multiply(backward, band[:, ::-1], out=m[1, ..., 1:])
-    c = np.add.accumulate(m, axis=-1)
+    # a rounding residue.  (A prefix of -0.0 products stays -0.0: no
+    # comparison sees the sign of a numerator's zero.)
+    m = factors * operand
+    c = np.zeros((2, 2, 2, n + 1))
+    np.add.accumulate(m, axis=-1, out=c[..., 1:])
     # ``c[0, 1, :, n]`` are the left-to-right totals of upper and lower.
     # Above 1e-290 some upper membership exceeds 2**-1073 (n < 1e30), so
     # 0.5 * (lower + upper) has a positive term and its pairwise ``np.sum``,
@@ -503,11 +537,12 @@ def _km_bounds(km, band) -> tuple[float, float] | None:
     # that, or for NaN, is the mass summed itself.
     total_upper, total_lower = c[0, 1, :, n].tolist()
     if not total_upper > 1e-290:
-        mass = np.add.reduce(0.5 * (band[0] + band[1]))
-        if not (mass > 0.0 or band[1].any()):
+        upper, lower = operand[0, 0]
+        mass = np.add.reduce(0.5 * (lower + upper))
+        if not (mass > 0.0 or upper.any()):
             return None
         if mass <= 0.0:
-            mid = 0.5 * (float(forward[0, 0, 0]) + float(forward[0, 0, -1]))
+            mid = 0.5 * (float(factors[0, 0, 0, 0]) + float(factors[0, 0, 0, -1]))
             return (mid, mid)
     sums = np.add(c[0], c[1, ..., ::-1], out=c[0])
     if total_lower > 0.0:  # with 0 <= lower <= upper, every curve then has mass
@@ -515,12 +550,12 @@ def _km_bounds(km, band) -> tuple[float, float] | None:
     else:
         with np.errstate(invalid="ignore"):  # 0/0 where a curve has no mass
             approx = sums[0] / sums[1]
-    end, idx = np.nonzero(approx <= np.fmin.reduce(approx, axis=1, keepdims=True) + tol)
+    end, idx = (approx <= np.fmin.reduce(approx, axis=1, keepdims=True) + tol).nonzero()
     if len(end) > 2:
         # Where lower[j] == upper[j], columns j and j + 1 give the same curve:
         # keep the first column of each such run.
         first = np.ones(n + 1, dtype=bool)
-        np.not_equal(band[0], band[1], out=first[1:])
+        np.not_equal(*operand[0, 0], out=first[1:])
         rep = np.maximum.accumulate(np.where(first, np.arange(n + 1), 0))
         end, idx = np.divmod(np.unique(end * (n + 1) + rep[idx]), n + 1)
     ends, cols = end.tolist(), idx.tolist()
@@ -533,14 +568,16 @@ def _km_bounds(km, band) -> tuple[float, float] | None:
     # pieces of both into one C-contiguous (2, r, n) matrix, whose row sums
     # round exactly like ``np.sum`` of each row.  Blocks of at most 64K curve
     # elements bound memory when many candidates tie (each costs O(n)).
-    with_upper, with_lower = m[0, :, 0, 1:], m[1, :, 0, :0:-1]
-    pieces = (with_upper, with_lower, with_upper)  # a curve: p[end][:i] + p[end + 1][i:]
+    with_upper, with_lower = m[0, :, 0], m[1, :, 0, ::-1]
+    pieces = []
+    for right, i in zip(ends, cols):
+        head, tail = (with_lower, with_upper) if right else (with_upper, with_lower)
+        pieces += head[:, :i], tail[:, i:]
     exact = []
-    block = max(1, (1 << 16) // n)
-    for s in range(0, len(cols), block):
-        rows = np.concatenate([p for right, i in zip(ends[s:s + block], cols[s:s + block])
-                               for p in (pieces[right][:, :i], pieces[right + 1][:, i:])], axis=1)
-        nums, dens = np.add.reduce(rows.reshape(2, -1, n), axis=2).tolist()
+    block = 2 * max(1, (1 << 16) // n)  # pieces
+    for s in range(0, len(pieces), block):
+        rows = np.concatenate(pieces[s:s + block], axis=1).reshape(2, -1, n)
+        nums, dens = np.add.reduce(rows, axis=2).tolist()
         exact += map(operator.truediv, nums, dens)
     return (min(exact[:k]), max(exact[k:]))
 
@@ -585,7 +622,7 @@ def km_reduce(xs, lower, upper) -> tuple[float, float]:
         x = float(xs[0])
         return (x, x)
     mid = 0.5 * (float(xs[0]) + float(xs[-1]))
-    return _km_bounds(_km_grid_of(xs.tobytes()), np.array((lower, upper))) or (mid, mid)
+    return _km_bounds(_km_grid_of(xs.tobytes()), _km_operand(lower, upper)) or (mid, mid)
 
 
 @functools.lru_cache(maxsize=1)
@@ -607,14 +644,11 @@ def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
         raise EvaluationError(
             f"infer_it2_mamdani requires an interval type-2 system, got {fis.kind.value}")
     acts = _fire(fis, inputs, interval=True)
-    lowering = _lower(fis)
-    agg = _aggregate(fis, tuple(zip(*acts)))  # lower and upper activations
-    crisp, aggregated, intervals, degenerate = {}, {}, {}, []
-    for (name, var), xs, km, band in zip(fis.outputs.items(), lowering.grids,
-                                         lowering.km_grids, agg.swapaxes(0, 1)):
-        aggregated[name] = CurveBand(SampledCurve(xs, band[0]), SampledCurve(xs, band[1]))
+    agg = _aggregate(fis, acts)
+    crisp, intervals, degenerate = {}, {}, []
+    for (name, var), (km, index) in zip(fis.outputs.items(), _lower(fis).km_grids):
         try:
-            bounds = _km_bounds(km, band)
+            bounds = _km_bounds(km, agg.take(index))
         except EvaluationError as exc:
             raise EvaluationError(f"cannot type-reduce output {name!r}: {exc}") from None
         if bounds is None:
@@ -624,7 +658,7 @@ def infer_it2_mamdani(fis: FuzzySystem, inputs) -> InferenceResult:
         else:
             y_left, y_right = intervals[name] = bounds
             crisp[name] = 0.5 * (y_left + y_right)
-    return InferenceResult(crisp, None, aggregated, tuple(degenerate), intervals, acts)
+    return InferenceResult(crisp, None, _LazyCurves(fis, agg), tuple(degenerate), intervals, acts)
 
 
 def infer(fis: FuzzySystem, inputs) -> InferenceResult:

@@ -463,3 +463,13 @@ def test_resolution_above_the_bound_is_a_parse_error():
         .settings.resolution == 100_000
     with pytest.raises(ParseError, match=r"resolution must be an integer in \[2, 100000\]"):
         parse_system(_wrap("x == t --> y == u\nresolution = 1000000000"))
+
+
+def test_resolution_above_the_bound_is_reported_at_its_statement():
+    lines = corpus.load_text("tipper.fzl").split("\n")
+    lines.insert(7, "  resolution = 1000000000")
+    with pytest.raises(ParseError, match=r"resolution must be an integer in \[2, 100000\]") \
+            as info:
+        parse_system("\n".join(lines))
+    assert (info.value.line, info.value.column) == (8, 3)
+    assert str(info.value).startswith("<inline>:8:3: ")

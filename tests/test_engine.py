@@ -93,6 +93,42 @@ def test_eval_proposition_is_pure(tipper):
     assert all(eval_proposition(p, tipper, inputs) == first for _ in range(5))
 
 
+def test_eval_proposition_compiles_once_per_system_and_proposition(monkeypatch):
+    compiled = []
+    exec_emitted = engine._emit.exec_emitted
+
+    def counting(w, filename, name):
+        compiled.append(filename)
+        return exec_emitted(w, filename, name)
+
+    monkeypatch.setattr(engine._emit, "exec_emitted", counting)
+    import pickle
+
+    fresh = pickle.dumps(corpus.load_system("tipper"))  # a copy leaves its lowering out
+    fis = pickle.loads(fresh)
+    p = Or(And(Relation("service", "good"), Not(Relation("food", "rancid"))),
+           Relation("service", "poor"))
+    rng = random.Random(31)
+    points = [{"service": rng.uniform(-2.0, 12.0), "food": rng.uniform(-2.0, 12.0)}
+              for _ in range(50)]
+    first = eval_proposition(p, fis, points[0]).hex()
+    assert compiled == ["<proposition>"]
+    again = [eval_proposition(p, fis, x).hex() for x in points]
+    equal = Or(And(Relation("service", "good"), Not(Relation("food", "rancid"))),
+               Relation("service", "poor"))
+    assert eval_proposition(equal, fis, points[0]).hex() == first == again[0]
+    assert compiled == ["<proposition>"]  # a repeated or equal proposition compiles nothing
+    # each value is what a fresh compilation, on a fresh system, gives
+    for x, value in zip(points, again):
+        assert eval_proposition(p, pickle.loads(fresh), x).hex() == value
+    assert compiled == ["<proposition>"] * 51
+    with pytest.raises(EvaluationError):
+        eval_proposition(Relation("service", "nope"), fis, points[0])
+    eval_proposition(Relation("food", "rancid"), fis, points[0])
+    assert compiled == ["<proposition>"] * 52
+    assert list(engine._lower(fis).propositions) == [p, Relation("food", "rancid")]
+
+
 def test_missing_input_error(tipper):
     with pytest.raises(MissingInputError) as exc:
         fire_rules(tipper, {"service": 5.0})
@@ -346,7 +382,7 @@ def test_emitted_pipeline_matches_numpy_backend():
         moments = np.stack((np.ones_like(lowering.grids), lowering.grids))
         for _ in range(4):
             res = infer(fis, helpers.random_inputs(rng, fis, pad=0.5))
-            curves = engine._aggregate(fis, (res.firing.activations,))[0]
+            curves = engine._aggregate(fis, res.firing.activations)[0]
             values = engine._defuzzify(defuzz, moments, curves)
             want = {name: fis.zero_fire_defaults.get(name, var.domain.midpoint)
                     if value is None else value
@@ -377,16 +413,16 @@ def test_aggregated_is_computed_on_first_read_only(monkeypatch, tipper):
     calls = []
     aggregate = engine._aggregate
 
-    def counting(fis, bands):
+    def counting(fis, acts):
         calls.append(fis)
-        return aggregate(fis, bands)
+        return aggregate(fis, acts)
 
     monkeypatch.setattr(engine, "_aggregate", counting)
     res = infer(tipper, {"service": 3.0, "food": 8.0})
     assert calls == [] and list(res.aggregated) == ["tip"] and len(res.aggregated) == 1
     curve = res.aggregated["tip"]
     assert res.aggregated["tip"] is curve and len(calls) == 1
-    want = aggregate(tipper, (res.firing.activations,))[0, 0]
+    want = aggregate(tipper, res.firing.activations)[0, 0]
     assert curve.mus.tobytes() == want.tobytes()
 
 

@@ -9,7 +9,7 @@ import pytest
 import helpers
 from fuzzkit import (Domain, EngineSettings, EvaluationError, FuzzySystem,
                      Implication, IntervalMF, Relation, Rule, SNorm, SystemKind,
-                     Triangular, Variable, engine)
+                     Triangular, Variable, corpus, engine)
 from fuzzkit.engine import (fire_rules, fire_rules_interval, infer,
                             infer_it2_mamdani, infer_mamdani, km_reduce)
 
@@ -362,3 +362,137 @@ def test_it2_interval_properties():
                 if mass > 0.0:
                     c = float(np.sum(curve.xs * curve.mus)) / mass
                     assert y_l - 1e-12 <= c <= y_r + 1e-12, (fis, c, y_l, y_r)
+
+
+def test_row_sums_of_a_contiguous_block_round_like_np_sum():
+    # The confirm step of km_reduce sums the rows of one C-contiguous
+    # (2, r, n) block with np.add.reduce and takes each row's total for the
+    # np.sum that the exhaustive oracle computes.  That holds while numpy
+    # reduces each contiguous row pairwise, with its 8-way unrolled blocks
+    # and 128-element leaves; a numpy that blocks a row differently fails
+    # here, before any km_reduce test.
+    rng = np.random.default_rng(23)
+    base = rng.random((2, 3, 5000)) * 10.0 ** rng.integers(-3, 4, (2, 3, 5000))
+    orders_differ = 0
+    for n in range(1, 5001):
+        block = np.ascontiguousarray(base[:, :, :n])
+        got = np.add.reduce(block, axis=-1)
+        assert got.tolist() == [[np.sum(row) for row in rows] for rows in block], n
+        orders_differ += bool((got != np.add.accumulate(block, axis=-1)[..., -1]).any())
+    assert orders_differ > 4000  # the data tell pairwise from sequential sums
+
+
+def _with_settings(fis, settings):
+    return FuzzySystem(fis.name, fis.kind, fis.inputs, fis.outputs, fis.rules, settings)
+
+
+@pytest.mark.parametrize("resolution", [51, 101, 1001])
+def test_it2_infer_equals_reference_bands_and_oracle(resolution):
+    # infer's bands equal the plain-float aggregation, and its intervals the
+    # exhaustive switch-point oracle on those bands and km_reduce on the
+    # band it returns, with ==.  One- and two-output systems under max and
+    # probabilistic-sum aggregation and min and product implication; inputs
+    # run past the domains, so some outputs fire no rule.
+    rng = random.Random(5200 + resolution)
+    calls = 6 if resolution < 1001 else 2
+    degenerate = 0
+    for agg, imp in itertools.product((SNorm.MAX, SNorm.PROB_SUM), Implication):
+        settings = EngineSettings(implication=imp, aggregation=agg, resolution=resolution)
+        systems = [helpers.uneven_outputs_system(rng, settings, interval=True)]
+        systems += [_with_settings(helpers.random_it2_system(rng), settings) for _ in range(3)]
+        for fis in systems:
+            for _ in range(calls):
+                res = infer(fis, helpers.random_inputs(rng, fis, pad=0.4))
+                acts = res.firing_intervals
+                for name, var in fis.outputs.items():
+                    band = res.aggregated[name]
+                    lower = helpers.aggregate_reference(fis, name, [a[0] for a in acts], "lower")
+                    upper = helpers.aggregate_reference(fis, name, [a[1] for a in acts], "upper")
+                    assert band.lower.mus.tolist() == lower
+                    assert band.upper.mus.tolist() == upper
+                    if any(upper):
+                        want = helpers.km_oracle(band.lower.xs, lower, upper)
+                        assert name not in res.degenerate
+                    else:
+                        want = (var.domain.midpoint,) * 2
+                        assert name in res.degenerate
+                        degenerate += 1
+                    assert res.intervals[name] == want, (fis, name)
+                    assert res.crisp[name] == 0.5 * (want[0] + want[1])
+                    if (band.lower.mus <= band.upper.mus).all():
+                        assert km_reduce(band.lower.xs, band.lower.mus, band.upper.mus) == want
+                    else:
+                        # a + b - a*b rounds past its exact order: a lower
+                        # band can top its upper one by an ulp, which
+                        # km_reduce's input contract rejects
+                        assert agg is SNorm.PROB_SUM
+                        with pytest.raises(EvaluationError):
+                            km_reduce(band.lower.xs, band.lower.mus, band.upper.mus)
+    assert degenerate > 0
+
+
+# ---------------------------------------------------------------------------
+# Lazily built band curves
+
+def test_it2_aggregated_is_built_on_first_read_only(monkeypatch):
+    fis = corpus.load_system("tipper_it2")
+    built = []
+    band_type = engine.CurveBand
+
+    def counting(lower, upper):
+        built.append(lower)
+        return band_type(lower, upper)
+
+    monkeypatch.setattr(engine, "CurveBand", counting)
+    res = infer(fis, {"service": 3.0, "food": 8.0})
+    assert built == [] and list(res.aggregated) == ["tip"] and len(res.aggregated) == 1
+    band = res.aggregated["tip"]
+    assert res.aggregated["tip"] is band and len(built) == 1
+    want = engine._aggregate(fis, res.firing_intervals)
+    assert band.lower.mus.tobytes() == want[0, 0].tobytes()
+    assert band.upper.mus.tobytes() == want[1, 0].tobytes()
+    grids = engine._lower(fis).grids
+    assert band.lower.xs is band.upper.xs and band.lower.xs.base is grids
+    assert band.lower.xs.tobytes() == grids[0].tobytes()
+    # both bounds are rows of the one aggregate the result kept
+    assert band.lower.mus.base is band.upper.mus.base
+    assert band.lower.mus.base.shape == (2, 1, 101)
+
+
+def test_it2_aggregated_is_read_only_and_equals_its_dict():
+    fis = helpers.uneven_outputs_system(random.Random(7), EngineSettings(), interval=True)
+    res = infer(fis, {"a": 9.0})
+    agg = res.aggregated
+    with pytest.raises(TypeError):
+        agg["p"] = None
+    with pytest.raises(TypeError):
+        del agg["p"]
+    assert not hasattr(agg, "update") and not hasattr(agg, "pop")
+    assert list(agg) == list(fis.outputs) and len(agg) == 2
+    plain = dict(agg)
+    assert agg == plain and plain == agg and agg == {name: agg[name] for name in plain}
+    assert repr(agg) == repr(plain) and "aggregated={'" in repr(res)
+    assert "CurveBand(lower=SampledCurve(" in repr(agg)
+    assert "nope" not in agg and agg.get("nope") is None
+    with pytest.raises(KeyError):
+        agg["nope"]
+    for band in agg.values():
+        for curve in (band.lower, band.upper):
+            assert not curve.mus.flags.writeable and not curve.xs.flags.writeable
+            with pytest.raises(ValueError):
+                curve.mus[0] = 1.0
+
+
+def test_it2_aggregated_pickles_as_a_plain_dict():
+    import pickle
+
+    res = infer(corpus.load_system("tipper_it2"), {"service": 3.0, "food": 8.0})
+    data = pickle.dumps(res)
+    assert b"FuzzySystem" not in data and b"_LazyCurves" not in data
+    back = pickle.loads(data)
+    assert type(back.aggregated) is dict and back.crisp == res.crisp
+    assert back.intervals == res.intervals
+    for bound in ("lower", "upper"):
+        assert getattr(back.aggregated["tip"], bound).mus.tobytes() == \
+            getattr(res.aggregated["tip"], bound).mus.tobytes()
+    assert type(pickle.loads(pickle.dumps(res.aggregated))) is dict

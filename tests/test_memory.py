@@ -184,6 +184,19 @@ def test_a_dropped_system_frees_its_compiled_functions():
         gc.enable()
 
 
+def test_a_dropped_system_frees_its_compiled_propositions():
+    fis = _fresh("tipper")
+    eval_proposition(Relation("service", "good"), fis, _TIPPER)
+    gc.disable()
+    try:
+        compiled = weakref.ref(fis._curve_cache["lowering"].propositions[
+            Relation("service", "good")])
+        del fis
+        assert compiled() is None
+    finally:
+        gc.enable()
+
+
 def test_a_dropped_generated_function_is_freed():
     gc.disable()
     try:

@@ -230,3 +230,25 @@ def test_gaussian_sigma_whose_square_underflows_is_rejected(sigma):
 def test_smallest_accepted_gaussian_sigma_evaluates():
     mf = Gaussian(0.5, 1e-161)
     assert mf(0.5) == 1.0 and mf(0.6) == 0.0
+
+
+def test_smallest_accepted_gaussian_sigma_samples_without_warning():
+    # With sigma = 1e-161, (x - mu)^2 / (2 sigma^2) overflows to inf: the
+    # sample is exp(-inf) = 0.0, and the overflow is no warning.
+    import warnings
+
+    mf = Gaussian(0.5, 1e-161)
+    xs = np.array([0.6, 1.5, 0.5, -1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="warn"):
+            got = mf.sample(xs)
+    assert got.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert got.tolist() == [mf(x) for x in xs.tolist()]
+    # An ordinary sigma samples as the unguarded formula does, bit for bit.
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-20.0, 20.0, 1000)
+    for mu, sigma in ((0.0, 1e-3), (2.5, 1.5), (-7.0, 40.0)):
+        d = xs - mu
+        want = np.exp(-(d * d) / (2.0 * sigma * sigma))
+        assert Gaussian(mu, sigma).sample(xs).tobytes() == want.tobytes()
