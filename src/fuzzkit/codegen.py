@@ -1,16 +1,16 @@
 """Compile a fuzzy system into standalone, dependency-free source text.
 
-The emitted text contains one plain function (plus an optional
-``from math import ...`` line) taking one float per input variable in
-declaration order and returning one float per output, with the system's
-constants baked in as literals and consequent curves pre-sampled onto the
-output grids.  Its body is the engine's own type-1 inference written out:
-the antecedent prologue of the compiled rule firing
-(``_emit.emit_antecedents``), then the output stage that ``infer`` runs
-compiled (``_emit.emit_outputs``).  Only the spelling differs: here
-constants are literals, comments stay, run helpers are nested, and an
-output that fires no rule returns its zero-fire value where the engine's
-stage returns ``None``.  So generated code reproduces ``infer`` bit for bit.
+The emitted text is one plain function taking one float per input variable
+in declaration order and returning one float per output.  Above it stand the
+imports its body calls (``bisect_right``, ``exp``, ``log``) and the sampled
+tables it reads, each a module-level name prefixed with the function's name
+and spelled as one string of float reprs: compile time follows the token
+count, and 600 floats compile in 1.7 ms as a tuple literal, 0.08 ms as one
+string.  The body is the engine's own type-1 inference written out
+(``_emit.emit_antecedents``, then ``_emit.emit_outputs``); only the spelling
+differs: comments stay, run helpers are nested, and an output that fires no
+rule returns its zero-fire value where the engine's stage returns ``None``.
+So generated code reproduces ``infer`` bit for bit.
 Sums are plain left folds in grid order, never ``sum`` or ``math.fsum``,
 which round differently; the numpy backend (``engine._aggregate``,
 ``engine._defuzzify``) accumulates in the same order.
@@ -37,13 +37,13 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
     """
     if fis.kind is SystemKind.MAMDANI_IT2:
         raise CodegenError("codegen unsupported for interval type-2")
-    taken = {"exp", "log", "abs"}
+    taken = {*_emit.IMPORTS, "abs", "zip", "enumerate"}
     fname = _emit.sanitize(function_name or fis.name, set(taken), fallback="f")
     taken.add(fname)
     params = {name: _emit.sanitize(name, taken) for name in fis.inputs}
 
     lowering = _lower(fis)
-    w = _emit.Writer()
+    w = _emit.Writer(prefix=f"_{fname}")
     w.emit(f"def {fname}({', '.join(params.values())}):")
     w.level += 1
     ins = ", ".join(fis.inputs)
@@ -68,8 +68,10 @@ def generate(fis: FuzzySystem, function_name: str | None = None,
         w.lines[helpers_at:helpers_at] = hw.lines
         w.emit(f"return ({', '.join(results)})" if len(results) > 1
                else f"return {results[0]}")
-    if w.uses:
-        w.lines[:0] = [f"from math import {', '.join(sorted(w.uses))}", "", ""]
+    imports = [f"from {m} import {', '.join(n for n in sorted(w.uses) if _emit.IMPORTS[n] == m)}"
+               for m in sorted({_emit.IMPORTS[n] for n in w.uses})]
+    tables = [line for name, table in w.consts.items() for line in _emit.table_lines(name, table)]
+    w.lines[:0] = [line for block in (imports, tables) if block for line in (*block, "", "")]
     return w.text()
 
 

@@ -226,12 +226,11 @@ class _Lowering:
     outputs: object = None
 
 
-def _emit_head(fis: FuzzySystem, head: str = "_fire(_values)", convert: bool = True,
-               consts: dict | None = None):
-    """A ``Writer`` opening ``def {head}``, which takes each input from the
-    dict ``_values`` through ``float()`` unless not ``convert``, and the
-    locals holding the inputs."""
-    w = _emit.Writer(consts)
+def _emit_head(fis: FuzzySystem, head: str = "_fire(_values)", convert: bool = True):
+    """An engine ``Writer`` opening ``def {head}``, which takes each input
+    from the dict ``_values`` through ``float()`` unless not ``convert``, and
+    the locals holding the inputs."""
+    w = _emit.Writer()
     w.emit(f"def {head}:")
     w.level += 1
     args = {}
@@ -256,12 +255,12 @@ def _compile_outputs(fis: FuzzySystem):
     """Specialize the output stage of a type-1 system into its lowering's
     ``outputs(values, *activations)``: ``_emit.emit_outputs``, returning the
     crisp values with ``None`` for each output that fired no rule.  Linear
-    Sugeno consequents take their inputs from ``values``.  Constants and run
-    helpers are bound as names, not spelled as literals and nested defs."""
+    Sugeno consequents take their inputs from ``values``.  Run helpers are
+    bound as names, like every engine writer's tables, not nested defs."""
     lowering = _lower(fis)
     acts = [f"_f{i}" for i in range(len(fis.rules))]
     w, args = _emit_head(fis, f"_outputs(_values, {', '.join(acts)})",
-                         fis.kind is SystemKind.SUGENO, {})
+                         fis.kind is SystemKind.SUGENO)
     results, run_widths = _emit.emit_outputs(w, fis, lowering, acts, args,
                                              ["None"] * len(fis.outputs))
     w.emit(f"return ({', '.join(results)},)")

@@ -309,8 +309,8 @@ def km_oracle(xs, lower, upper):
 
 def it2_firing_oracle(fis: FuzzySystem, inputs) -> tuple:
     """Interval rule activations of a type-2 system whose terms are
-    triangles, trapezoids or Gaussians, under min or prod conjunction and
-    max disjunction (what ``random_it2_system`` builds)."""
+    triangles, trapezoids, Gaussians (what ``random_it2_system`` builds) or
+    polylines, under min or prod conjunction and max disjunction."""
     assert fis.settings.disjunction is SNorm.MAX
 
     def degree(mf, x):
@@ -318,6 +318,8 @@ def it2_firing_oracle(fis: FuzzySystem, inputs) -> tuple:
             return tri(x, mf.a, mf.b, mf.c)
         if isinstance(mf, Trapezoidal):
             return trap(x, mf.a, mf.b, mf.c, mf.d)
+        if isinstance(mf, PiecewiseLinear):
+            return polyline(x, mf.points)
         return gauss(x, mf.mu, mf.sigma)
 
     table = {(name, term): (degree(pair.lower, inputs[name]),

@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import helpers
 from fuzzkit import corpus
 from fuzzkit.cli import main
 from fuzzkit.engine import infer
+from fuzzkit.interop import parse_fcl
 
 
 @pytest.fixture()
@@ -256,6 +261,44 @@ def test_codegen_it2_exits_3(tmp_path, capsys):
     p.write_text(format_system(helpers.random_it2_system(random.Random(9))))
     assert main(["codegen", str(p), "--stdout"]) == 3
     assert "interval type-2" in capsys.readouterr().err
+
+
+def test_codegen_files_run_standalone_side_by_side(robot_path, tmp_path):
+    # Two generated files concatenated into one module run in an isolated
+    # interpreter (`python -I`: no fuzzkit on the path) and equal infer with
+    # ==: the text needs nothing but math and bisect, and the module-level
+    # tables of the two functions do not collide.
+    fcl = tmp_path / "tipper.fcl"
+    fcl.write_text(corpus.load_text("tipper.fcl"))
+    tipper_py, steer_py = tmp_path / "tipper_gen.py", tmp_path / "steer_gen.py"
+    assert main(["codegen", str(fcl), str(tipper_py)]) == 0
+    assert main(["codegen", robot_path, str(steer_py), "--name", "steer"]) == 0
+    (tmp_path / "both.py").write_text(tipper_py.read_text() + "\n\n" + steer_py.read_text())
+    rng = random.Random(31)
+    cases = {}
+    for fn, path in (("tipper", fcl), ("steer", robot_path)):
+        fis = parse_fcl(open(path).read())[0]
+        rows = [helpers.random_inputs(rng, fis, pad=0.1) for _ in range(200)]
+        want = [tuple(infer(fis, row).crisp.values()) for row in rows]
+        cases[fn] = ([[row[n].hex() for n in fis.inputs] for row in rows], want)
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import both\n"
+        "assert 'fuzzkit' not in sys.modules\n"
+        "out = {}\n"
+        "for fn, rows in json.load(sys.stdin).items():\n"
+        "    got = [getattr(both, fn)(*map(float.fromhex, row)) for row in rows]\n"
+        "    out[fn] = [[v.hex() for v in (g if isinstance(g, tuple) else (g,))]"
+        " for g in got]\n"
+        "print(json.dumps(out))\n")
+    done = subprocess.run([sys.executable, "-I", "-c", script, str(tmp_path)],
+                          input=json.dumps({fn: rows for fn, (rows, _) in cases.items()}),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    for fn, (_, want) in cases.items():
+        assert [tuple(map(float.fromhex, g)) for g in got[fn]] == want, fn
 
 
 def test_codegen_requires_destination(tipper_path, capsys):

@@ -8,7 +8,6 @@ import math
 import random
 import re
 import sys
-import textwrap
 
 import pytest
 
@@ -17,9 +16,9 @@ from fuzzkit import (And, Defuzzifier, Domain, EngineSettings, FuzzySystem,
                      Gaussian, Implication, ModelError, Or, PiecewiseLinear, Relation, Rule,
                      SNorm, SystemKind, Trapezoidal, Triangular, Variable, corpus)
 from fuzzkit import _emit
-from fuzzkit._emit import WIDTH as _WIDTH, wrap as _wrap
 from fuzzkit.codegen import CodegenError, generate, load
-from fuzzkit.engine import fire_rules, infer
+from fuzzkit.engine import _lower, fire_rules, infer
+from fuzzkit.interop import parse_fcl, parse_fis
 
 
 @pytest.fixture(scope="module")
@@ -262,11 +261,18 @@ def test_piecewise_linear_firing_equals_call():
     # Compiled firing, generated antecedents (inline and helper forms) and
     # direct calls equal helpers.polyline with ==: one, two and many nodes, flat
     # and near-vertical segments, inputs on, beside, between and outside the
-    # nodes.  NaN still gives NaN everywhere.
+    # nodes.  NaN still gives NaN everywhere.  Polylines of up to
+    # _emit.CHAIN_NODES nodes are a branch chain, longer ones bisect a table:
+    # 8 and 9 nodes sit on either side of the boundary, tipper.fcl's terms
+    # have 41, and the random ones 3 to 12.
     rng = random.Random(120)
     up = math.nextafter(1.0, 2.0)
     polylines = [((2.0, 0.3),), ((-1.0, 0.0), (3.0, 1.0)), ((-1.0, 1.0), (3.0, 0.25)),
-                 ((0.5, 0.0), (1.0, 0.0), (up, 1.0), (4.0, 1.0))]
+                 ((0.5, 0.0), (1.0, 0.0), (up, 1.0), (4.0, 1.0)),
+                 tuple((k - 4.0, k % 2 * 0.75) for k in range(8)),
+                 tuple((k - 4.0, k % 3 * 0.5) for k in range(9))]
+    tipper = parse_fcl(corpus.load_text("tipper.fcl"))[0]
+    polylines.append(tipper.inputs["service"].terms["good"].points)
     for _ in range(30):
         xs = sorted(rng.sample(range(-900, 900), rng.randint(3, 12)))
         ys, prev = [], rng.random()
@@ -287,8 +293,12 @@ def test_piecewise_linear_firing_equals_call():
         probes += [(x0 + x1) / 2 for x0, x1 in zip(nodes, nodes[1:])]
         probes += [nodes[0] - 1.0, nodes[-1] + 1.0]
     probes += [rng.uniform(-10.0, 10.0) for _ in range(200)]
-    inline = load(generate(fis, antecedents_only=True))
-    helper = load(generate(fis, antecedents_only=True, inline_mfs=False))
+    long = sum(len(pts) > _emit.CHAIN_NODES for pts in polylines)
+    assert len(polylines[-1 - 30]) == 41 and 0 < long < len(polylines)
+    sources = [generate(fis, antecedents_only=True, inline_mfs=f) for f in (True, False)]
+    for src in sources:
+        assert src.count("[bisect_right(") == long
+    inline, helper = map(load, sources)
     for v in probes:
         want = tuple(helpers.t1_degree(mf, v) for mf in mfs)
         for got in (tuple(fire_rules(fis, {"x": v})), inline(v), helper(v),
@@ -313,70 +323,118 @@ def test_single_rule_source_is_short_and_standalone():
     src = generate(_one_rule_system())
     lines = src.splitlines()
     assert len(lines) < 120
-    # no library references: the only import allowed is math
-    for token in ("fuzzkit", "numpy", "np.", "import sys", "engine"):
-        assert token not in src
-    imports = [l for l in lines if l.startswith(("import", "from"))]
-    assert all(re.match(r"from math import |import math", l) for l in imports)
     # Sums are left folds: builtin sum compensates from Python 3.12 on and
     # math.fsum rounds once, so either would break bitwise parity.
-    # The run helpers are nested, so the text stays one top-level def.
-    for fis in (_one_rule_system(), *(corpus.load_system(c) for c in ("tipper", "robot"))):
+    # The run helpers are nested and the tables are plain assignments, so the
+    # text stays one top-level def.  No library references: the only imports
+    # allowed are from math, and bisect_right for polylines of more than
+    # _emit.CHAIN_NODES nodes (tipper.fcl's).
+    tipper_fcl = parse_fcl(corpus.load_text("tipper.fcl"))[0]
+    for fis in (_one_rule_system(), tipper_fcl,
+                *(corpus.load_system(c) for c in ("tipper", "robot"))):
         text = generate(fis)
+        for token in ("fuzzkit", "numpy", "np.", "import sys", "engine"):
+            assert token not in text, (fis.name, token)
+        imports = [l for l in text.splitlines() if l.startswith(("import", "from"))]
+        assert all(re.fullmatch(r"from math import .+|from bisect import bisect_right", l)
+                   for l in imports), fis.name
         assert not re.search(r"(?<!\w)f?sum\(", text), fis.name
         defs = [n for n in ast.parse(text).body if isinstance(n, ast.FunctionDef)]
         assert len(defs) == 1, fis.name
+    assert "from bisect import bisect_right" in generate(tipper_fcl)
     assert "    def _run2(" in generate(corpus.load_system("robot"))
 
 
-def test_wrap_fills_like_textwrap():
-    # The greedy fill gives textwrap.wrap's lines for the literals codegen
-    # wraps: float tuples, tuples of point tuples, argument tails.
-    rng = random.Random(121)
+def _table_text(src):
+    """The module-level lines of generated ``src`` above its function, less
+    its imports: the table assignments."""
+    head = src[:re.search(r"^def ", src, re.M).start()]
+    return "\n".join(l for l in head.splitlines() if not l.startswith("from "))
 
-    def number():
-        return rng.choice((rng.uniform(-1e3, 1e3), rng.random(), 0.1 + 0.2,
-                           float(rng.randint(-99, 99)), -1e-300))
 
-    for _ in range(500):
-        head = rng.choice(("_xs0 = ", "_col3_12 = ", "_den0, _num0 = _run2(",
-                           "_den11, _num11 = _run15(", "x" * rng.randint(70, 100)))
-        shape = rng.randrange(3)
-        if shape == 0:
-            text = repr(tuple(number() for _ in range(rng.randint(1, 40))))
-        else:
-            k = rng.randint(1, 16)
-            pts = repr(tuple(tuple(number() for _ in range(k + 1))
-                             for _ in range(rng.randint(2, 12))))
-            text = pts if shape == 1 else (
-                f"{pts}, {', '.join(f'_s0_{i}' for i in range(k))}, _den0, _num0)")
-        w = _emit.Writer()
-        w.level = rng.randint(0, 4)
-        _wrap(w, head, text)
-        indent = "    " * w.level
-        assert w.lines == textwrap.wrap(text, width=_WIDTH, initial_indent=indent + head,
-                                        subsequent_indent=indent + "    ",
-                                        break_long_words=False,
-                                        break_on_hyphens=False), (head, text)
+def _flat(table):
+    return [v for row in table for v in (row if isinstance(row, tuple) else (row,))]
+
+
+def test_tables_decode_to_the_lowering_values_exactly(monkeypatch):
+    # Executed on their own, the table lines above the function (each within
+    # WIDTH columns) rebuild every tuple the writer bound, value for value to
+    # the bit (.hex() tells -0.0 from 0.0), in the same shape.  Those tuples
+    # are the lowering's: run points from its grid_runs memo, grids, trimmed
+    # term curves, and polyline nodes and segments.  Inline and helper forms,
+    # on the corpus and 100 random systems.
+    bound = {}
+    real_bind = _emit.Writer.bind
+
+    def recording(self, name, table):
+        name = real_bind(self, name, table)
+        if self.prefix is not None:
+            bound[name] = table
+        return name
+
+    monkeypatch.setattr(_emit.Writer, "bind", recording)
+    rng = random.Random(122)
+    systems = [corpus.load_system(c) for c in ("tipper", "robot", "denoise")]
+    systems += [parse_fcl(corpus.load_text("tipper.fcl"))[0],
+                parse_fis(corpus.load_text("tipper.fis"))[0]]
+    systems += [helpers.random_t1_system(rng, i) for i in range(100)]
+    kinds = set()
+    for fis in systems:
+        lowering = _lower(fis)
+        for inline in (True, False):
+            bound.clear()
+            src = generate(fis, inline_mfs=inline)
+            prefix = "_" + re.search(r"^def (\w+)\(", src, re.M).group(1)
+            assert all(len(line) <= _emit.WIDTH for line in _table_text(src).splitlines())
+            ns: dict = {}
+            exec(_table_text(src), ns)
+            del ns["__builtins__"]
+            assert ns.keys() == bound.keys(), fis.name
+            runs = {tuple(v.hex() for v in _flat(pts))
+                    for found in lowering.runs.values() for _, pts in found}
+            grids = {tuple(v.hex() for v in g) for g in lowering.grids.tolist()} \
+                if lowering.grids is not None else set()
+            for name, table in bound.items():
+                got = ns[name]
+                assert type(got) is tuple and len(got) == len(table), name
+                assert [len(r) if isinstance(r, tuple) else 0 for r in got] == \
+                       [len(r) if isinstance(r, tuple) else 0 for r in table], name
+                hexes = tuple(v.hex() for v in _flat(got))
+                assert hexes == tuple(v.hex() for v in _flat(table)), (fis.name, name)
+                kind = re.sub(r"\d+", "", name[len(prefix):])
+                kinds.add(kind)
+                if kind == "_p_":
+                    assert hexes in runs, (fis.name, name)
+                elif kind == "_xs":
+                    assert hexes in grids, (fis.name, name)
+    assert kinds == {"_p_", "_xs", "_col_", "_plx", "_pls"}, kinds
 
 
 def test_math_import_names_exactly_what_the_body_calls():
+    # The imports are `from bisect import bisect_right`, exactly when the body
+    # bisects a long polyline, then `from math import ...` naming exactly the
+    # math functions the body calls.
     rng = random.Random(118)
     seen = set()
-    for i in range(40):
-        fis = helpers.random_t1_system(rng, i)
+    systems = [helpers.random_t1_system(rng, i) for i in range(40)]
+    systems.append(parse_fcl(corpus.load_text("tipper.fcl"))[0])
+    systems.append(_polyline_system([tuple((k / 2.0, k % 2 * 1.0) for k in range(9)),
+                                     ((0.0, 0.0), (1.0, 1.0))]))
+    for fis in systems:
         for inline in (True, False):
             lines = generate(fis, inline_mfs=inline).splitlines()
-            imports = [l for l in lines if l.startswith("from math import ")]
+            imports = [l for l in lines if l.startswith(("from ", "import "))]
             body = "\n".join(l for l in lines if l not in imports)
-            called = sorted(n for n in ("exp", "log")
-                            if re.search(rf"(?<![\w.]){n}\(", body))
-            want = [f"from math import {', '.join(called)}"] if called else []
+            called = [n for n in ("bisect_right", "exp", "log")
+                      if re.search(rf"(?<![\w.]){n}\(", body)]
+            want = ["from bisect import bisect_right"] if "bisect_right" in called else []
+            math_names = [n for n in called if n != "bisect_right"]
+            if math_names:
+                want.append(f"from math import {', '.join(math_names)}")
             assert imports == want, (fis.name, inline)
-            if called:
-                assert lines[0] == want[0]
+            assert lines[:len(want)] == want
             seen.add(tuple(called))
-    assert seen == {(), ("exp",), ("exp", "log")}
+    assert seen == {(), ("exp",), ("exp", "log"), ("bisect_right",)}
 
 
 def test_generated_source_compiles_cleanly(tipper):
@@ -425,6 +483,27 @@ def test_system_named_after_math_import_is_renamed(tipper):
     src = generate(shadow)
     assert "def exp2(service, food):" in src
     assert load(src)(5.0, 5.0) == load(generate(tipper))(5.0, 5.0)
+
+
+def test_inputs_named_after_names_the_body_calls_are_renamed():
+    # A parameter named zip, enumerate or bisect_right would shadow what the
+    # body calls: the non-centroid output loops zip its grid and curves, and a
+    # polyline of more than _emit.CHAIN_NODES nodes bisects its nodes.
+    names = ("zip", "enumerate", "bisect_right", "abs", "exp")
+    terms = {"t": PiecewiseLinear(tuple((k * 1.25, k % 2 * 1.0) for k in range(9)))}
+    inputs = {n: Variable(n, Domain(0, 10), terms) for n in names}
+    y = Variable("y", Domain(0, 10), {"u": Triangular(0, 5, 10), "v": Gaussian(7.0, 2.0)})
+    rules = tuple(Rule(Relation(n, "t"), (Relation("y", "uv"[k % 2]),))
+                  for k, n in enumerate(names))
+    fis = FuzzySystem("shadow", SystemKind.MAMDANI, inputs, {"y": y}, rules,
+                      EngineSettings(defuzzifier=Defuzzifier.BISECTOR))
+    src = generate(fis)
+    assert "def shadow(zip2, enumerate2, bisect_right2, abs2, exp2):" in src
+    fn = load(src)
+    rng = random.Random(123)
+    for _ in range(50):
+        row = {n: rng.uniform(0.0, 10.0) for n in names}
+        assert fn(*row.values()) == infer(fis, row).crisp["y"]
 
 
 def test_hostile_names_are_sanitized(tipper):

@@ -1,15 +1,17 @@
 """Interval type-2 inference and Karnik-Mendel type reduction."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 import helpers
-from fuzzkit import (Domain, EngineSettings, EvaluationError, FuzzySystem,
-                     Implication, IntervalMF, Relation, Rule, SNorm, SystemKind,
-                     Triangular, Variable, corpus, engine)
+from fuzzkit import (And, Domain, EngineSettings, EvaluationError, FuzzySystem,
+                     Implication, IntervalMF, Not, PiecewiseLinear, Relation, Rule, SNorm,
+                     SystemKind, Triangular, Variable, _emit, corpus, engine)
+from fuzzkit.interop import parse_fcl
 from fuzzkit.engine import (fire_rules, fire_rules_interval, infer,
                             infer_it2_mamdani, infer_mamdani, km_reduce)
 
@@ -198,6 +200,38 @@ def test_fire_rules_interval_matches_oracle():
             inputs = helpers.random_inputs(rng, fis)
             want = helpers.it2_firing_oracle(fis, inputs)
             assert fire_rules_interval(fis, inputs) == want, (fis, inputs)
+
+
+def test_fire_rules_interval_long_polyline_bounds_match_oracle():
+    # Bounds of more than _emit.CHAIN_NODES nodes bisect a table of segments;
+    # shorter ones keep the branch chain.  Both equal the oracle with ==,
+    # on the nodes, beside them, outside both ends, and between them.
+    rng = random.Random(85)
+    tipper = parse_fcl(corpus.load_text("tipper.fcl"))[0]
+    uppers = [mf.points for mf in tipper.inputs["service"].terms.values()]  # 41 nodes
+    for n in (2, 8, 9, 12, 30):
+        xs = sorted(rng.sample(range(0, 1000), n))
+        uppers.append(tuple((x / 100.0, rng.choice((0.0, 1.0, rng.random()))) for x in xs))
+    terms = {f"p{k}": IntervalMF(PiecewiseLinear(tuple((x, y * rng.uniform(0.3, 1.0))
+                                                         for x, y in pts)),
+                                 PiecewiseLinear(pts))
+             for k, pts in enumerate(uppers)}
+    a = Variable("a", Domain(0.0, 10.0), terms)
+    y = Variable("y", Domain(0.0, 1.0),
+                 {"u": IntervalMF(Triangular(0.1, 0.5, 0.9), Triangular(0.0, 0.5, 1.0))})
+    rules = [Rule(Relation("a", t), (Relation("y", "u"),)) for t in terms]
+    rules += [Rule(Not(Relation("a", "p0")), (Relation("y", "u"),), 0.5),
+              Rule(And(Relation("a", "p1"), Relation("a", "p7")), (Relation("y", "u"),))]
+    fis = FuzzySystem("bands", SystemKind.MAMDANI_IT2, {"a": a}, {"y": y}, tuple(rules))
+    assert {len(pts) > _emit.CHAIN_NODES for pts in uppers} == {False, True}
+    probes = [-1.0, 0.0, -0.0, 10.0, 11.0]
+    for pts in uppers:
+        for x, _ in pts:
+            probes += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    probes += [rng.uniform(-0.5, 10.5) for _ in range(300)]
+    for v in probes:
+        want = helpers.it2_firing_oracle(fis, {"a": v})
+        assert fire_rules_interval(fis, {"a": v}) == want, v
 
 
 def test_it2_result_structure():
