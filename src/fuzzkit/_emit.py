@@ -4,7 +4,8 @@ The engine's compiled rule firing and output stage, ``engine.eval_proposition``
 and the standalone code generator all run text written here:
 ``emit_antecedents`` writes the antecedent prologue (membership degrees,
 then each rule's weighted truth degree), for type-1 and interval type-2
-systems alike, and ``emit_outputs`` the type-1 output stage after it.
+systems alike, ``emit_outputs`` the type-1 output stage after it, and
+``emit_readout`` the two-group readout of ``engine.grouped_max_output``.
 Membership formulas, defuzzifiers and, in ``norms``, the norms are
 statement templates, each written once; a membership function called
 directly runs its formula from here, compiled by ``exec_emitted``.
@@ -515,6 +516,21 @@ def emit_run_centroid(w, implication, lowering, o, strengths, run_widths) -> Non
             w.emit(f"_den{o} += _v")
             w.emit(f"_num{o} += {lit(x)} * _v")
         w.level -= 1
+
+
+def emit_readout(w, first: int, second: int) -> None:
+    """``def _readout(_acts, _g)``: the two-group readout of ``_g`` gray levels
+    over ``first`` then ``second`` activations.  A group's maximum starts from
+    its first member and takes a later one only if greater, as ``max`` does
+    (a NaN first member wins, a later one never; ties keep the first)."""
+    acts = [f"_a{i}" for i in range(first + second)]
+    lines = ["def _readout(_acts, _g):", f"    {', '.join(acts)}, = _acts"]
+    for top, group in (("_l1", acts[:first]), ("_l2", acts[first:])):
+        lines.append(f"    {top} = {group[0]}")
+        for a in group[1:]:
+            lines += [f"    if {a} > {top}:", f"        {top} = {a}"]
+    w.emit_block(lines + ["    _t = 1.0 - _l1 - _l2", "    _l0 = _t if _t > 0.0 else 0.0",
+                          "    return (_g - 1) * (_l1 - _l2) / (_l1 + _l2 + _l0)"])
 
 
 def emit_run_helper(w, implication, k) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import codegen
 from .corpus import CASES, load_system
-from .engine import _DENOISE_GROUPS, _grouped_max, denoise_detector, infer
+from .engine import _readout, denoise_detector, infer
 from .model import FuzzySystem, SystemKind
 
 DEFAULT_SEED = 24601
@@ -96,11 +96,11 @@ def _interp_fn(case: str, fis: FuzzySystem):
 def _codegen_fn(case: str, fis: FuzzySystem):
     order = list(fis.inputs)
     if case == "denoise":
-        # Generated antecedents + the detector's own readout (256 levels,
-        # its default).
+        # Generated antecedents + the detector's own compiled readout (256
+        # levels, its default).
         acts_fn = codegen.load(codegen.generate(fis, antecedents_only=True))
-        return lambda d, _fn=acts_fn, _order=order: _grouped_max(
-            _fn(*[d[k] for k in _order]), 256, *_DENOISE_GROUPS)
+        return lambda d, _fn=acts_fn, _order=order, _read=_readout(13, 13): _read(
+            _fn(*[d[k] for k in _order]), 256)
     fn = codegen.load(codegen.generate(fis))
     return lambda d, _fn=fn, _order=order: _fn(*[d[k] for k in _order])
 

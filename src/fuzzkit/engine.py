@@ -15,7 +15,10 @@ read, interval type-2 inference and public ``defuzzify``.  Grid sums run
 left to right (``np.add.accumulate``), the order of the emitted left folds,
 so the backends agree bit for bit on finite inputs.  Interval type-2
 ``infer`` is a short, fixed list of array calls per output, and its result
-builds its ``CurveBand``s only when ``aggregated`` is read.
+builds its ``CurveBand``s only when ``aggregated`` is read.  The two-group
+readout (``grouped_max_output``, ``denoise_detector``) is emitted code too,
+compiled once per process per pair of group sizes and shared by every system
+and caller; it rounds as its formula does and treats NaN as ``max`` does.
 
 All entry points are pure: they never mutate the system or the inputs, so a
 validated system can serve concurrent callers.  The lowering cache, its
@@ -280,33 +283,36 @@ def _run_helper(implication: Implication, k: int):
 
 
 def _lower(fis: FuzzySystem) -> _Lowering:
-    cache = fis._curve_cache
-    lowering = cache.get("lowering")
-    if lowering is None:
-        relations = tuple(dict.fromkeys(
-            (rel.variable, rel.term)
-            for rule in fis.rules for rel in _relations(rule.antecedent)))
-        outputs = fis.outputs.values()
-        row = {(var.name, term): t for var in outputs for t, term in enumerate(var.terms)}
-        by_output = tuple(tuple((i, row[name, rel.term]) for i, rule in enumerate(fis.rules)
-                                for rel in rule.consequents if rel.variable == name)
-                          for name in fis.outputs)
-        grids = curves = km_grids = None
-        if fis.kind is not SystemKind.SUGENO:
-            grids = np.array([var.domain.grid(fis.settings.resolution) for var in outputs])
-            bounds = (None,) if fis.kind is SystemKind.MAMDANI else ("lower", "upper")
-            width = max(len(var.terms) for var in outputs)
-            curves = np.zeros((len(bounds), len(grids), width, grids.shape[1]))
-            for (b, bound), (o, var) in itertools.product(enumerate(bounds), enumerate(outputs)):
-                for t, mf in enumerate(var.terms.values()):
-                    curves[b, o, t] = (getattr(mf, bound) if bound else mf).sample(grids[o])
-            for a in (grids, curves):
-                a.setflags(write=False)
-            if fis.kind is SystemKind.MAMDANI_IT2:  # map: no closure cell on each call
-                index = np.arange(grids.size).reshape(grids.shape)  # of the lower band
-                km_grids = tuple(zip(map(_km_grid, grids),
-                                     map(_km_operand, index, index + grids.size)))
-        lowering = cache["lowering"] = _Lowering(relations, by_output, grids, curves, km_grids)
+    return fis._curve_cache.get("lowering") or _build_lowering(fis)
+
+
+def _build_lowering(fis: FuzzySystem) -> _Lowering:
+    # Apart from ``_lower``: its cache hit then creates no closure cells.
+    relations = tuple(dict.fromkeys(
+        (rel.variable, rel.term)
+        for rule in fis.rules for rel in _relations(rule.antecedent)))
+    outputs = fis.outputs.values()
+    row = {(var.name, term): t for var in outputs for t, term in enumerate(var.terms)}
+    by_output = tuple(tuple((i, row[name, rel.term]) for i, rule in enumerate(fis.rules)
+                            for rel in rule.consequents if rel.variable == name)
+                      for name in fis.outputs)
+    grids = curves = km_grids = None
+    if fis.kind is not SystemKind.SUGENO:
+        grids = np.array([var.domain.grid(fis.settings.resolution) for var in outputs])
+        bounds = (None,) if fis.kind is SystemKind.MAMDANI else ("lower", "upper")
+        width = max(len(var.terms) for var in outputs)
+        curves = np.zeros((len(bounds), len(grids), width, grids.shape[1]))
+        for (b, bound), (o, var) in itertools.product(enumerate(bounds), enumerate(outputs)):
+            for t, mf in enumerate(var.terms.values()):
+                curves[b, o, t] = (getattr(mf, bound) if bound else mf).sample(grids[o])
+        for a in (grids, curves):
+            a.setflags(write=False)
+        if fis.kind is SystemKind.MAMDANI_IT2:
+            index = np.arange(grids.size).reshape(grids.shape)  # of the lower band
+            km_grids = tuple(zip(map(_km_grid, grids),
+                                 map(_km_operand, index, index + grids.size)))
+    lowering = _Lowering(relations, by_output, grids, curves, km_grids)
+    fis._curve_cache["lowering"] = lowering
     return lowering
 
 
@@ -678,6 +684,11 @@ def grouped_max_output(fis: FuzzySystem, inputs, gray_levels: int,
 
         l1 = max(first), l2 = max(second), l0 = max(0, 1 - l1 - l2)
         y  = (gray_levels - 1) * (l1 - l2) / (l1 + l2 + l0)
+
+    The readout is emitted code (``_emit.emit_readout``), compiled once per
+    process per pair of group sizes; it rounds as this formula does and
+    takes a NaN activation as builtin ``max`` does: the maximum when it
+    comes first in its group, passed over anywhere else.
     """
     _check_gray_levels(gray_levels)
     first, second = tuple(first_rules), tuple(second_rules)
@@ -692,7 +703,7 @@ def grouped_max_output(fis: FuzzySystem, inputs, gray_levels: int,
     if set(first) & set(second):
         raise EvaluationError("rule groups must be disjoint")
     picked = operator.itemgetter(*first, *second)(_fire(fis, inputs))
-    return _grouped_max(picked, gray_levels, slice(0, len(first)), slice(len(first), None))
+    return _readout(len(first), len(second))(picked, gray_levels)
 
 
 def _is_integer(value) -> bool:
@@ -707,21 +718,21 @@ def _check_gray_levels(gray_levels) -> None:
         raise EvaluationError(f"gray_levels must be at least 2, got {gray_levels}")
 
 
-def _grouped_max(acts, gray_levels: int, first: slice, second: slice) -> float:
-    """The readout arithmetic of ``grouped_max_output`` over two activation slices."""
-    l1 = max(acts[first])
-    l2 = max(acts[second])
-    l0 = max(0.0, 1.0 - l1 - l2)
-    return (gray_levels - 1) * (l1 - l2) / (l1 + l2 + l0)
-
-
-_DENOISE_GROUPS = (slice(0, 13), slice(13, 26))
+@functools.cache
+def _readout(first: int, second: int):
+    """``_emit.emit_readout``'s function for groups of ``first`` and
+    ``second`` activations, compiled once per process for every system and
+    caller: ``grouped_max_output``, ``denoise_detector`` and ``bench``."""
+    w = _emit.Writer()
+    _emit.emit_readout(w, first, second)
+    return _emit.exec_emitted(w, "<readout>", "_readout")
 
 
 def denoise_detector(fis: FuzzySystem, inputs, gray_levels: int = 256) -> float:
     """Canonical impulse-noise detector binding: rules 1-13 vote positive,
-    rules 14-26 vote negative."""
+    rules 14-26 vote negative.  ``grouped_max_output``'s readout of those
+    groups, the one compiled function both run."""
     if len(fis.rules) != 26:
         raise EvaluationError(f"denoise detector expects exactly 26 rules, got {len(fis.rules)}")
     _check_gray_levels(gray_levels)
-    return _grouped_max(_fire(fis, inputs), gray_levels, *_DENOISE_GROUPS)
+    return _readout(13, 13)(_fire(fis, inputs), gray_levels)

@@ -141,9 +141,8 @@ class Gaussian(MembershipFunction):
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         d = np.asarray(xs, dtype=float) - self.mu
-        nd2 = -(d * d)
-        with np.errstate(over="ignore"):  # a tiny sigma: -inf, whose exp is 0.0
-            return np.exp(nd2 / (2.0 * self.sigma * self.sigma))
+        with np.errstate(over="ignore"):  # a huge d or tiny sigma: -inf, whose exp is 0.0
+            return np.exp(-(d * d) / (2.0 * self.sigma * self.sigma))
 
 
 @dataclass(frozen=True)

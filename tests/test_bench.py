@@ -1,10 +1,11 @@
 """Benchmark harness plumbing (timing numbers themselves are not asserted)."""
 
 import pathlib
+import sys
 
 import pytest
 
-from fuzzkit import SystemKind, corpus
+from fuzzkit import SystemKind, bench, corpus, denoise_detector
 from fuzzkit.bench import (CSV_HEADER, BenchResult, bench_seed, format_table,
                            make_inputs, run_case, to_csv)
 
@@ -67,6 +68,36 @@ def test_run_case_smoke():
 def test_run_case_without_codegen():
     results = run_case("denoise", iterations=10, with_codegen=False)
     assert [r.impl for r in results] == ["interp"]
+
+
+def _readout_codes(call):
+    """Code objects of the compiled readouts that ``call`` runs."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == "<readout>":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return codes
+
+
+def test_denoise_codegen_row_runs_the_detectors_readout():
+    # A8 compares generated antecedents plus the detector's own readout
+    # against the detector: same values, same compiled readout.
+    fis = corpus.load_system("denoise")
+    generated = bench._codegen_fn("denoise", fis)
+    rows = make_inputs(fis, 200, seed=24)
+    for row in rows:
+        got, want = generated(row), denoise_detector(fis, row)
+        assert (repr(got), type(got)) == (repr(want), type(want))
+    codes = _readout_codes(lambda: generated(rows[0]))
+    assert len(codes) == 1
+    assert _readout_codes(lambda: denoise_detector(fis, rows[0])) == codes
 
 
 def test_run_case_it2_has_interpreter_row_only():

@@ -14,7 +14,8 @@ import helpers
 from fuzzkit import (And, Defuzzifier, Domain, EngineSettings, EvaluationError,
                      FuzzySystem, Gaussian, Implication, MissingInputError, Not, Or,
                      Relation, Rule, SNorm, SugenoConstant, SugenoLinear,
-                     SystemKind, TNorm, Triangular, Variable, codegen, corpus, engine)
+                     SystemKind, TNorm, Triangular, Variable, _emit, codegen, corpus,
+                     engine, parse_system)
 from fuzzkit.engine import (defuzzify, eval_proposition, fire_rules,
                             grouped_max_output, infer, infer_mamdani,
                             infer_sugeno, km_reduce)
@@ -821,8 +822,9 @@ def test_firing_errors_propagate_from_the_one_call(monkeypatch, error):
 # ---------------------------------------------------------------------------
 # Readout and result packaging
 
-def _same(a, b):
-    return a == b or (a != a and b != b)
+def _bits(value):
+    # Equal reprs and types: the same float bits, NaN and the sign of zero too.
+    return repr(value), type(value)
 
 
 def _generator_readout(acts, gray_levels, first, second):
@@ -864,7 +866,7 @@ def test_grouped_max_output_matches_generator_readout():
         for first, second in groups:
             for levels in (2, 256):
                 got = grouped_max_output(fis, inputs, levels, first, second)
-                assert _same(got, _generator_readout(acts, levels, first, second))
+                assert _bits(got) == _bits(_generator_readout(acts, levels, first, second))
 
 
 def test_denoise_detector_matches_generator_readout():
@@ -877,8 +879,57 @@ def test_denoise_detector_matches_generator_readout():
             inputs[names[trial % len(names)]] = math.nan
         acts = fire_rules(fis, inputs).activations
         want = _generator_readout(acts, 256, range(0, 13), range(13, 26))
-        assert _same(engine.denoise_detector(fis, inputs), want)
-        assert _same(grouped_max_output(fis, inputs, 256, range(0, 13), range(13, 26)), want)
+        assert _bits(engine.denoise_detector(fis, inputs)) == _bits(want)
+        assert _bits(grouped_max_output(fis, inputs, 256, range(0, 13), range(13, 26))) \
+            == _bits(want)
+
+
+_EDGE_ACTIVATIONS = (0.0, -0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0)
+
+
+def _draw_group(rng, n):
+    # From a few of the edge values and uniform draws, so that members tie,
+    # plus fresh uniform draws; then NaN first, in the middle, last, or nowhere.
+    palette = rng.sample(_EDGE_ACTIVATIONS + (rng.random(), rng.random()), rng.randint(1, 3))
+    group = [rng.choice(palette) if rng.random() < 0.8 else rng.random() for _ in range(n)]
+    where = rng.randrange(6)
+    if where < 3:
+        group[(0, n // 2, n - 1)[where]] = math.nan
+    return group
+
+
+def test_readout_matches_generator_readout_bit_for_bit():
+    # Signed zeros tie, and the sign of l1 - l2 shows which one max kept;
+    # 1 - l1 - l2 and 1 - (l1 + l2) round apart at (0.3, 0.6).
+    cases = [((-0.0, 0.0), (0.0,)), ((0.0, -0.0), (0.0,)),
+             ((-0.0,), (0.0, -0.0)), ((-0.0,), (-0.0, 0.0)), ((0.3,), (0.6,))]
+    rng = random.Random(24)
+    for n1, n2 in itertools.product(range(1, 31), repeat=2):
+        cases += [(_draw_group(rng, n1), _draw_group(rng, n2)) for _ in range(6)]
+    for first, second in cases:
+        acts, n1 = (*first, *second), len(first)
+        readout = engine._readout(n1, len(second))
+        for levels in (2, 256, np.int64(256)):
+            want = _generator_readout(acts, levels, range(n1), range(n1, len(acts)))
+            assert _bits(readout(acts, levels)) == _bits(want), (acts, levels)
+
+
+def test_readout_compiles_once_per_process_for_every_caller(monkeypatch):
+    text = corpus.load_text("denoise.fzl")
+    pixels = {name: 40.0 for name in parse_system(text).inputs}
+    engine._readout.cache_clear()
+    for fis in (parse_system(text), parse_system(text)):
+        engine.denoise_detector(fis, pixels)
+        grouped_max_output(fis, pixels, 256, range(13), range(13, 26))
+    assert engine._readout.cache_info().misses == 1
+    # A fresh system's first call compiles its firing and nothing else.
+    compiled = []
+    exec_emitted = _emit.exec_emitted
+    monkeypatch.setattr(_emit, "exec_emitted",
+                        lambda w, filename, name: compiled.append(filename)
+                        or exec_emitted(w, filename, name))
+    engine.denoise_detector(parse_system(text), pixels)
+    assert compiled == ["<rule firing>"]
 
 
 def _result_objects():

@@ -238,12 +238,12 @@ def test_smallest_accepted_gaussian_sigma_samples_without_warning():
     import warnings
 
     mf = Gaussian(0.5, 1e-161)
-    xs = np.array([0.6, 1.5, 0.5, -1e150])
+    xs = np.array([0.6, 1.5, 0.5, -1e150, -1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="warn"):
             got = mf.sample(xs)
-    assert got.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert got.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
     assert got.tolist() == [mf(x) for x in xs.tolist()]
     # An ordinary sigma samples as the unguarded formula does, bit for bit.
     rng = np.random.default_rng(5)
